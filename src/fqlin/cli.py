@@ -17,7 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
+from typing import NamedTuple
 
 from .carlitz import bracket, carlitz_d, carlitz_delta, tau_power
 from .errors import KernelError, ResidualCheckFailed, ValidationError
@@ -26,6 +26,7 @@ from .jsonio import (
     build_manifest,
     canonical_dumps,
     comp_value,
+    decode_exp,
     decode_field,
     decode_implicit,
     decode_ode,
@@ -41,7 +42,7 @@ from .jsonio import (
     series_value,
 )
 from .ore import OreFraction, factor_unit, fraction_normalize, invert_unit, ore_left_multiple
-from .series import cs_eval, growth_certificate
+from .series import growth_certificate
 from .solvers import (
     normalize_time_change,
     residual,
@@ -53,25 +54,198 @@ from .solvers import (
 )
 from .textio import emit_series
 
-COMMANDS = (
-    "add",
-    "compose",
-    "power",
-    "invert",
-    "factor",
-    "ore",
-    "fraction-normalize",
-    "tau",
-    "delta",
-    "d",
-    "bracket",
-    "solve-implicit",
-    "solve-ode",
-    "solve-riccati",
-    "eval",
-    "certify",
-    "residual-check",
-)
+# Decoder and encoder of each kind of positional input.  The lambdas read the
+# module globals at call time, so a patched codec function is the one used.
+COMP = (lambda field, raw: comp_value(field, raw), lambda value: encode_comp(value))
+PERF = (lambda field, raw: perf_value(field, raw), lambda value: encode_perf(value))
+SERIES = (lambda field, raw: series_value(field, raw), lambda value: encode_series(value))
+
+
+@dataclasses.dataclass
+class Call:
+    """One invocation as a run function sees it.  ``inputs`` and ``extra``
+    collect the manifest's input digests and recorded arguments; ``code`` is
+    the exit code of a document that is written anyway."""
+
+    args: argparse.Namespace
+    doc: dict
+    field: FieldConfig
+    xprec: object
+    inputs: dict = dataclasses.field(default_factory=dict)
+    extra: dict = dataclasses.field(default_factory=dict)
+    code: int = 0
+
+
+class Command(NamedTuple):
+    help: str
+    run: object  # run(call, *decoded positional inputs) -> result document, or a series
+    inputs: tuple = ()  # (name, (decoder, encoder)) per positional input
+    options: tuple = ()  # required integer options, recorded in the manifest
+
+
+def _add(call, a, b):
+    if type(a) is not type(b):
+        raise ValidationError("add needs two series of the same kind")
+    return a + b
+
+
+def _factor(call, c):
+    fact = factor_unit(c)
+    return {**encode_unit_factorization(fact), "text": emit_series(fact.unit)}
+
+
+def _ore(call, a, b):
+    a_prime, b_prime = ore_left_multiple(a, b, order=call.args.order)
+    return {
+        "a_prime": encode_comp(a_prime),
+        "a_prime_text": emit_series(a_prime),
+        "b_prime": encode_comp(b_prime),
+        "b_prime_text": emit_series(b_prime),
+    }
+
+
+def _fraction_normalize(call, denom, numer):
+    nf = fraction_normalize(OreFraction(denom=denom, numer=numer), order=call.args.order, xprec=call.xprec)
+    return {**encode_normal_form(nf), "text": emit_series(nf.series)}
+
+
+def _first_nonzero_index(res):
+    """Least index whose coefficient is certifiably nonzero, or None.
+
+    Residuals keep zero-modulo-precision coefficients, so a stored term does
+    not by itself witness failure; only a coefficient with a certain digit
+    does."""
+    bad = [k for k, c in res.terms.items() if not c.is_zero()]
+    return min(bad) if bad else None
+
+
+def _checked(call, prob, candidate, result):
+    """Record --check in the manifest and, when it is set, back-substitute
+    the candidate and fail on a nonzero residual."""
+    call.extra["check"] = call.args.check
+    if call.args.check:
+        bad = _first_nonzero_index(residual(prob, candidate, call.args.order))
+        if bad is not None:
+            raise ResidualCheckFailed(f"back-substituted residual is nonzero at index {bad}")
+        result["check"] = {"residual_zero": True}
+    return result
+
+
+def _solve_implicit(call):
+    prob = decode_implicit(call.field, call.doc)
+    call.inputs["problem"] = encode_problem(prob)
+    z, cert = solve_implicit(prob, _required_order(call.args), xprec=call.xprec)
+    result = {
+        "z": encode_comp(z),
+        "text": emit_series(z),
+        "certificate": encode_certificate(cert, call.field.p),
+    }
+    return _checked(call, prob, z, result)
+
+
+def _solve_ode(call):
+    prob = decode_ode(call.field, call.doc)
+    call.inputs["problem"] = encode_problem(prob)
+    norm, gamma = normalize_time_change(prob)
+    zp, cert = solve_ode(norm, _required_order(call.args), xprec=call.xprec)
+    z = zp if norm is prob else untransform_ode_solution(zp, gamma)
+    result = {
+        "z": encode_comp(z),
+        "text": emit_series(z),
+        "gamma": encode_perf(gamma),
+        "certificate": encode_certificate(growth_certificate(z), call.field.p),
+    }
+    return _checked(call, prob, z, result)
+
+
+def _solve_riccati(call):
+    doc = call.doc if call.args.branch is None else dict(call.doc, branch=call.args.branch)
+    prob = decode_riccati(call.field, doc)
+    call.inputs["problem"] = encode_problem(prob)
+    call.extra["branch"] = prob.branch
+    c, a = solve_riccati(prob, _required_order(call.args), xprec=call.xprec)
+    y = riccati_series(c, a, call.field)
+    result = {
+        "c": encode_perf(c),
+        "c_text": emit_series(c),
+        "a": [encode_perf(item) for item in a],
+        "series": encode_comp(y),
+        "text": emit_series(y),
+    }
+    return _checked(call, prob, y, result)
+
+
+def _residual_check(call):
+    kind = call.doc.get("type")
+    decoder = {"implicit": decode_implicit, "ode": decode_ode, "riccati": decode_riccati}.get(kind)
+    if decoder is None:
+        raise ValidationError('residual-check needs "type": implicit, ode, or riccati')
+    problem_doc = call.doc.get("problem")
+    if not isinstance(problem_doc, dict):
+        raise ValidationError('residual-check needs a "problem" object')
+    prob = decoder(call.field, problem_doc)
+    candidate = comp_value(call.field, _raw(call.args, call.doc, "candidate"))
+    call.inputs["problem"] = encode_problem(prob)
+    call.inputs["candidate"] = encode_comp(candidate)
+    call.extra["type"] = kind
+    res = residual(prob, candidate, _required_order(call.args))
+    zero = _first_nonzero_index(res) is None
+    if not zero:
+        call.code = ResidualCheckFailed.exit_code
+    return {"residual": encode_comp(res), "text": emit_series(res), "zero": zero}
+
+
+U = (("u", COMP),)
+AB = (("a", COMP), ("b", COMP))
+
+# Every subcommand, in --help order.
+COMMAND_TABLE = {
+    "add": Command("sum of two series", _add, (("a", SERIES), ("b", SERIES))),
+    "compose": Command("functional composition a o b", lambda call, a, b: a.compose(b), AB),
+    "power": Command(
+        "k-th compositional self-power", lambda call, z: z.self_power(call.args.k), (("z", COMP),), ("k",)
+    ),
+    "invert": Command(
+        "compositional inverse of a unit",
+        lambda call, u: invert_unit(u, order=call.args.order, xprec=call.xprec),
+        U,
+    ),
+    "factor": Command("split off the t^[q^m] monomial factor of a series", _factor, (("c", COMP),)),
+    "ore": Command("left Ore cofactors a', b' with a' o b = b' o a", _ore, AB),
+    "fraction-normalize": Command(
+        "root twist plus single series form of a left fraction",
+        _fraction_normalize,
+        (("denom", COMP), ("numer", COMP)),
+    ),
+    "tau": Command("apply the Frobenius twist j times", lambda call, u: tau_power(u, call.args.j), U, ("j",)),
+    "delta": Command("the difference operator u(x t) - x u(t)", lambda call, u: carlitz_delta(u), U),
+    "d": Command("the Carlitz derivative", lambda call, u: carlitz_d(u), U),
+    "bracket": Command("the element x^{q^k} - x", lambda call: bracket(call.field, call.args.k), (), ("k",)),
+    "solve-implicit": Command(
+        "solve an implicit composition equation from the input document", _solve_implicit
+    ),
+    "solve-ode": Command("solve d z = sum a_jk tau^j z^{o k} from the input document", _solve_ode),
+    "solve-riccati": Command("solve d y = lam (y o y) + P(y) + R from the input document", _solve_riccati),
+    "eval": Command(
+        "evaluate a composition series at a scalar point",
+        lambda call, u, t0: u.eval_at(t0),
+        (("u", COMP), ("t0", PERF)),
+    ),
+    "certify": Command(
+        "growth certificate of stored coefficients",
+        lambda call, u: encode_certificate(growth_certificate(u), call.field.p),
+        U,
+    ),
+    "residual-check": Command("back-substitute a candidate into a problem", _residual_check),
+}
+
+
+def non_negative_int(text):
+    """Argument type of --order."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def build_parser():
@@ -81,7 +255,7 @@ def build_parser():
     common.add_argument("--s", type=int, help="scalars live in F_{q^s}")
     common.add_argument("--mod", help="modulus coefficients over F_p, ascending, comma-separated")
     common.add_argument("--perf-depth", type=int, help="cap exponent denominators at p^E")
-    common.add_argument("--order", type=int, help="truncation order N")
+    common.add_argument("--order", type=non_negative_int, help="truncation order N")
     common.add_argument("--xprec", help="x-adic precision as num/den_exp, meaning num / p^den_exp")
     common.add_argument("--branch", choices=["zero", "nonzero"], help="Riccati constant-term branch")
     common.add_argument("--check", action="store_true", help="back-substitute and fail on nonzero residual")
@@ -90,32 +264,12 @@ def build_parser():
 
     parser = argparse.ArgumentParser(prog="fqlin", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def sub(name, help_text, *positionals, **options):
-        p = subs.add_parser(name, parents=[common], help=help_text)
-        for pos in positionals:
-            p.add_argument(pos, nargs="?", help="series expression (or supply it in the input document)")
-        for flag, kwargs in options.items():
-            p.add_argument(f"--{flag}", **kwargs)
-        return p
-
-    sub("add", "sum of two series", "a", "b")
-    sub("compose", "functional composition a o b", "a", "b")
-    sub("power", "k-th compositional self-power", "z", k={"type": int, "required": True})
-    sub("invert", "compositional inverse of a unit", "u")
-    sub("factor", "split off the t^[q^m] monomial factor of a series", "c")
-    sub("ore", "left Ore cofactors a', b' with a' o b = b' o a", "a", "b")
-    sub("fraction-normalize", "root twist plus single series form of a left fraction", "denom", "numer")
-    sub("tau", "apply the Frobenius twist j times", "u", j={"type": int, "required": True})
-    sub("delta", "the difference operator u(x t) - x u(t)", "u")
-    sub("d", "the Carlitz derivative", "u")
-    sub("bracket", "the element x^{q^k} - x", k={"type": int, "required": True})
-    sub("solve-implicit", "solve an implicit composition equation from the input document")
-    sub("solve-ode", "solve d z = sum a_jk tau^j z^{o k} from the input document")
-    sub("solve-riccati", "solve d y = lam (y o y) + P(y) + R from the input document")
-    sub("eval", "evaluate a composition series at a scalar point", "u", "t0")
-    sub("certify", "growth certificate of stored coefficients", "u")
-    sub("residual-check", "back-substitute a candidate into a problem")
+    for name, command in COMMAND_TABLE.items():
+        sub = subs.add_parser(name, parents=[common], help=command.help)
+        for pos, _ in command.inputs:
+            sub.add_argument(pos, nargs="?", help="series expression (or supply it in the input document)")
+        for flag in command.options:
+            sub.add_argument(f"--{flag}", type=int, required=True)
     return parser
 
 
@@ -133,19 +287,13 @@ def _load_doc(args):
 
 def _resolve_field(args, doc):
     if args.p is not None:
-        kwargs = {"p": args.p}
-        if args.v is not None:
-            kwargs["v"] = args.v
-        if args.s is not None:
-            kwargs["s"] = args.s
+        kwargs = {name: getattr(args, name) for name in ("p", "v", "s", "perf_depth")}
         if args.mod is not None:
             try:
                 kwargs["modulus"] = tuple(int(c) for c in args.mod.split(","))
             except ValueError:
                 raise ValidationError(f"--mod must be comma-separated integers, got {args.mod!r}")
-        if args.perf_depth is not None:
-            kwargs["perf_depth"] = args.perf_depth
-        return FieldConfig(**kwargs)
+        return FieldConfig(**{name: value for name, value in kwargs.items() if value is not None})
     if "field" in doc:
         field = decode_field(doc["field"])
         if args.perf_depth is not None:
@@ -159,9 +307,10 @@ def _resolve_xprec(args, field):
         return None
     num, _, den = args.xprec.partition("/")
     try:
-        return Fraction(int(num), field.p ** int(den or "0"))
+        exp = {"num": int(num), "den_exp": int(den or "0")}
     except ValueError:
         raise ValidationError(f"--xprec must look like num or num/den_exp, got {args.xprec!r}")
+    return decode_exp(exp, field.p)
 
 
 def _raw(args, doc, name):
@@ -173,186 +322,32 @@ def _raw(args, doc, name):
     return value
 
 
-def _series_result(value):
-    return {"value": encode_series(value), "text": emit_series(value)}
-
-
 def _required_order(args):
     if args.order is None:
         raise ValidationError("this command needs --order N")
     return args.order
 
 
-def _first_nonzero_index(res):
-    """Least index whose coefficient is certifiably nonzero, or None.
-
-    Residuals keep zero-modulo-precision coefficients, so a stored term does
-    not by itself witness failure; only a coefficient with a certain digit
-    does."""
-    bad = [k for k, c in res.terms.items() if not c.is_zero()]
-    return min(bad) if bad else None
-
-
-def _run_check(prob, candidate, order):
-    res = residual(prob, candidate, order)
-    bad = _first_nonzero_index(res)
-    if bad is not None:
-        raise ResidualCheckFailed(f"back-substituted residual is nonzero at index {bad}")
-    return {"residual_zero": True}
-
-
 def _execute(args):
     doc = _load_doc(args)
     field = _resolve_field(args, doc)
-    xprec = _resolve_xprec(args, field)
-    inputs = {}
-    extra_args = {}
-    code = 0
-
-    def manifest():
-        extra = {"args": extra_args} if extra_args else None
-        return build_manifest(args.command, field, order=args.order, xprec=xprec, inputs=inputs, extra=extra)
-
-    cmd = args.command
-    if cmd == "add":
-        a = series_value(field, _raw(args, doc, "a"))
-        b = series_value(field, _raw(args, doc, "b"))
-        inputs["a"], inputs["b"] = encode_series(a), encode_series(b)
-        if type(a) is not type(b):
-            raise ValidationError("add needs two series of the same kind")
-        result = _series_result(a + b)
-    elif cmd == "compose":
-        a = comp_value(field, _raw(args, doc, "a"))
-        b = comp_value(field, _raw(args, doc, "b"))
-        inputs["a"], inputs["b"] = encode_comp(a), encode_comp(b)
-        result = _series_result(a.compose(b))
-    elif cmd == "power":
-        z = comp_value(field, _raw(args, doc, "z"))
-        inputs["z"] = encode_comp(z)
-        extra_args["k"] = args.k
-        result = _series_result(z.self_power(args.k))
-    elif cmd == "invert":
-        u = comp_value(field, _raw(args, doc, "u"))
-        inputs["u"] = encode_comp(u)
-        result = _series_result(invert_unit(u, order=args.order, xprec=xprec))
-    elif cmd == "factor":
-        c = comp_value(field, _raw(args, doc, "c"))
-        inputs["c"] = encode_comp(c)
-        fact = factor_unit(c)
-        result = encode_unit_factorization(fact)
-        result["text"] = emit_series(fact.unit)
-    elif cmd == "ore":
-        a = comp_value(field, _raw(args, doc, "a"))
-        b = comp_value(field, _raw(args, doc, "b"))
-        inputs["a"], inputs["b"] = encode_comp(a), encode_comp(b)
-        a_prime, b_prime = ore_left_multiple(a, b, order=args.order)
-        result = {
-            "a_prime": encode_comp(a_prime),
-            "a_prime_text": emit_series(a_prime),
-            "b_prime": encode_comp(b_prime),
-            "b_prime_text": emit_series(b_prime),
-        }
-    elif cmd == "fraction-normalize":
-        denom = comp_value(field, _raw(args, doc, "denom"))
-        numer = comp_value(field, _raw(args, doc, "numer"))
-        inputs["denom"], inputs["numer"] = encode_comp(denom), encode_comp(numer)
-        nf = fraction_normalize(OreFraction(denom=denom, numer=numer), order=args.order, xprec=xprec)
-        result = encode_normal_form(nf)
-        result["text"] = emit_series(nf.series)
-    elif cmd == "tau":
-        u = comp_value(field, _raw(args, doc, "u"))
-        inputs["u"] = encode_comp(u)
-        extra_args["j"] = args.j
-        result = _series_result(tau_power(u, args.j))
-    elif cmd == "delta":
-        u = comp_value(field, _raw(args, doc, "u"))
-        inputs["u"] = encode_comp(u)
-        result = _series_result(carlitz_delta(u))
-    elif cmd == "d":
-        u = comp_value(field, _raw(args, doc, "u"))
-        inputs["u"] = encode_comp(u)
-        result = _series_result(carlitz_d(u))
-    elif cmd == "bracket":
-        extra_args["k"] = args.k
-        result = _series_result(bracket(field, args.k))
-    elif cmd == "solve-implicit":
-        prob = decode_implicit(field, doc)
-        inputs["problem"] = encode_problem(prob)
-        extra_args["check"] = args.check
-        z, cert = solve_implicit(prob, _required_order(args), xprec=xprec)
-        result = {
-            "z": encode_comp(z),
-            "text": emit_series(z),
-            "certificate": encode_certificate(cert, field.p),
-        }
-        if args.check:
-            result["check"] = _run_check(prob, z, args.order)
-    elif cmd == "solve-ode":
-        prob = decode_ode(field, doc)
-        inputs["problem"] = encode_problem(prob)
-        extra_args["check"] = args.check
-        norm, gamma = normalize_time_change(prob)
-        zp, cert = solve_ode(norm, _required_order(args), xprec=xprec)
-        z = zp if norm is prob else untransform_ode_solution(zp, gamma)
-        result = {
-            "z": encode_comp(z),
-            "text": emit_series(z),
-            "gamma": encode_perf(gamma),
-            "certificate": encode_certificate(growth_certificate(z), field.p),
-        }
-        if args.check:
-            result["check"] = _run_check(prob, z, args.order)
-    elif cmd == "solve-riccati":
-        if args.branch is not None:
-            doc = dict(doc)
-            doc["branch"] = args.branch
-        prob = decode_riccati(field, doc)
-        inputs["problem"] = encode_problem(prob)
-        extra_args["branch"] = prob.branch
-        extra_args["check"] = args.check
-        c, a = solve_riccati(prob, _required_order(args), xprec=xprec)
-        y = riccati_series(c, a, field)
-        result = {
-            "c": encode_perf(c),
-            "c_text": emit_series(c),
-            "a": [encode_perf(item) for item in a],
-            "series": encode_comp(y),
-            "text": emit_series(y),
-        }
-        if args.check:
-            result["check"] = _run_check(prob, y, args.order)
-    elif cmd == "eval":
-        u = comp_value(field, _raw(args, doc, "u"))
-        t0 = perf_value(field, _raw(args, doc, "t0"))
-        inputs["u"], inputs["t0"] = encode_comp(u), encode_perf(t0)
-        value = cs_eval(u, t0)
-        result = _series_result(value)
-    elif cmd == "certify":
-        u = comp_value(field, _raw(args, doc, "u"))
-        inputs["u"] = encode_comp(u)
-        result = encode_certificate(growth_certificate(u), field.p)
-    elif cmd == "residual-check":
-        kind = doc.get("type")
-        if kind not in ("implicit", "ode", "riccati"):
-            raise ValidationError('residual-check needs "type": implicit, ode, or riccati')
-        problem_doc = doc.get("problem")
-        if not isinstance(problem_doc, dict):
-            raise ValidationError('residual-check needs a "problem" object')
-        decoder = {"implicit": decode_implicit, "ode": decode_ode, "riccati": decode_riccati}[kind]
-        prob = decoder(field, problem_doc)
-        candidate = comp_value(field, _raw(args, doc, "candidate"))
-        inputs["problem"] = encode_problem(prob)
-        inputs["candidate"] = encode_comp(candidate)
-        extra_args["type"] = kind
-        res = residual(prob, candidate, _required_order(args))
-        zero = _first_nonzero_index(res) is None
-        result = {"residual": encode_comp(res), "text": emit_series(res), "zero": zero}
-        if not zero:
-            code = ResidualCheckFailed.exit_code
-    else:
-        raise ValidationError(f"unknown command {cmd!r}")
-
-    return {"manifest": manifest(), "result": result}, code
+    call = Call(args, doc, field, _resolve_xprec(args, field))
+    command = COMMAND_TABLE[args.command]
+    values = []
+    for name, (decode, encode) in command.inputs:
+        value = decode(field, _raw(args, doc, name))
+        call.inputs[name] = encode(value)
+        values.append(value)
+    for name in command.options:
+        call.extra[name] = getattr(args, name)
+    result = command.run(call, *values)
+    if not isinstance(result, dict):
+        result = {"value": encode_series(result), "text": emit_series(result)}
+    extra = {"args": call.extra} if call.extra else None
+    manifest = build_manifest(
+        args.command, field, order=args.order, xprec=call.xprec, inputs=call.inputs, extra=extra
+    )
+    return {"manifest": manifest, "result": result}, call.code
 
 
 def run_command(argv):

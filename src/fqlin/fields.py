@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 from .errors import (
@@ -101,15 +102,8 @@ def _fp_divmod(a, b, p):
 def _fp_monic_polys(p, degree):
     """All monic polynomials of the given degree, ascending lexicographic
     order on the coordinate tuple (constant coordinate most significant)."""
-    total = p**degree
-    for i in range(total):
-        coords = []
-        rem = i
-        for j in range(degree):
-            power = p ** (degree - 1 - j)
-            coords.append(rem // power)
-            rem %= power
-        yield coords + [1]
+    for coords in product(range(p), repeat=degree):
+        yield list(coords) + [1]
 
 
 def _fp_is_irreducible(f, p):
@@ -222,16 +216,8 @@ class FieldConfig:
 
     def elements(self):
         """All field elements in ascending lexicographic coordinate order."""
-        n, p = self.degree, self.p
-        total = p**n
-        for i in range(total):
-            coords = []
-            rem = i
-            for j in range(n):
-                power = p ** (n - 1 - j)
-                coords.append(rem // power)
-                rem %= power
-            yield FieldElem(self, tuple(coords))
+        for coords in product(range(self.p), repeat=self.degree):
+            yield FieldElem(self, coords)
 
     def fq_elements(self):
         """The subfield F_q inside F_{q^s} (fixed points of the q-power map)."""
@@ -399,64 +385,28 @@ class FieldElem:
         return f"FieldElem{self.coords}"
 
 
-def field_arith(a, b, op, e=None):
-    """Named dispatch over residue-field operations."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    if op == "pow_p":
-        return a.pow_p(e)
-    raise ValidationError(f"unknown field operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # exponents in Z[1/p]
 
 
-@dataclass(frozen=True)
-class PerfExp:
-    """Exponent num / p^den_exp with p not dividing num unless den_exp = 0."""
-
-    num: int
-    den_exp: int
-
-    def to_fraction(self, p):
-        return Fraction(self.num, p**self.den_exp)
-
-    @staticmethod
-    def from_fraction(fr, p, max_depth=None):
-        fr = Fraction(fr)
-        den = fr.denominator
-        e = 0
-        while den % p == 0:
-            den //= p
-            e += 1
-        if den != 1:
-            raise ValidationError(
-                f"exponent denominator of {fr} is not a power of p = {p}"
-            )
-        if max_depth is not None and e > max_depth:
-            raise PerfectionDepthExceeded(
-                f"exponent {fr} needs perfection depth {e} > cap {max_depth}"
-            )
-        return PerfExp(fr.numerator, e)
-
-
-def _check_exp(field, fr):
+def den_exp(fr, p):
+    """The e with denominator(fr) = p^e, or None when the denominator of the
+    Fraction fr is not a power of p."""
     den = fr.denominator
-    if den == 1:
-        return fr
-    p = field.p
     e = 0
     while den % p == 0:
         den //= p
         e += 1
-    if den != 1:
+    return e if den == 1 else None
+
+
+def _check_exp(field, fr):
+    if fr.denominator == 1:
+        return fr
+    e = den_exp(fr, field.p)
+    if e is None:
         raise ValidationError(
-            f"exponent denominator of {fr} is not a power of p = {p}"
+            f"exponent denominator of {fr} is not a power of p = {field.p}"
         )
     if e > field.perf_depth:
         raise PerfectionDepthExceeded(
@@ -674,25 +624,6 @@ class PerfSeries:
         body = " + ".join(f"{c!r}*x^{e}" for e, c in self.terms) or "0"
         tail = "" if is_inf(self.prec) else f" + O(x^{self.prec})"
         return f"<PerfSeries {body}{tail}>"
-
-
-def ps_arith(a, b, op, prec=None):
-    """Named dispatch over series operations (b is ignored for inv)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv(prec=prec)
-    raise ValidationError(f"unknown series operation {op!r}")
-
-
-def ps_frobenius(a, e):
-    return a.frobenius(e)
-
-
-def ps_root_q(a):
-    return a.root_q()
 
 
 def valuation(a):

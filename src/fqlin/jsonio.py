@@ -19,8 +19,7 @@ import json
 from fractions import Fraction
 
 from .errors import ValidationError
-from .fields import FieldConfig, PerfSeries, is_inf
-from .ore import OreFraction
+from .fields import FieldConfig, PerfSeries, den_exp, is_inf
 from .series import CompSeries
 from .solvers import ImplicitProblem, OdeProblem, RiccatiProblem
 from .textio import parse_comp_series, parse_perf_series
@@ -38,18 +37,17 @@ def _int(value, what):
 
 def encode_exp(e, p):
     e = Fraction(e)
-    den = e.denominator
-    den_exp = 0
-    while den > 1:
-        _require(den % p == 0, f"exponent denominator {e.denominator} is not a power of {p}")
-        den //= p
-        den_exp += 1
-    return {"num": e.numerator, "den_exp": den_exp}
+    exp = den_exp(e, p)
+    _require(exp is not None, f"exponent denominator {e.denominator} is not a power of {p}")
+    return {"num": e.numerator, "den_exp": exp}
 
 
 def decode_exp(doc, p):
+    """The exponent num / p^den_exp; the one place that builds it."""
     _require(isinstance(doc, dict), "exponent must be an object")
-    return Fraction(_int(doc.get("num"), "num"), p ** _int(doc.get("den_exp"), "den_exp"))
+    exp = _int(doc.get("den_exp"), "den_exp")
+    _require(exp >= 0, f"den_exp must be non-negative, got {exp}")
+    return Fraction(_int(doc.get("num"), "num"), p**exp)
 
 
 def encode_field(field):
@@ -144,18 +142,6 @@ def encode_series(value):
     if isinstance(value, CompSeries):
         return encode_comp(value)
     return encode_perf(value)
-
-
-def encode_fraction(f):
-    return {"denom": encode_comp(f.denom), "numer": encode_comp(f.numer)}
-
-
-def decode_fraction(field, doc):
-    _require(isinstance(doc, dict), "fraction must be an object")
-    return OreFraction(
-        denom=comp_value(field, doc.get("denom")),
-        numer=comp_value(field, doc.get("numer")),
-    )
 
 
 def encode_unit_factorization(fact):

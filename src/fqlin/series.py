@@ -229,22 +229,6 @@ class CompSeries:
         return f"<CompSeries {body}{tail}>"
 
 
-def cs_add(a, b):
-    return a + b
-
-
-def cs_compose(a, b):
-    return a.compose(b)
-
-
-def cs_self_power(a, k):
-    return a.self_power(k)
-
-
-def cs_eval(a, t0, cert=None, term_log=None):
-    return a.eval_at(t0, cert=cert, term_log=term_log)
-
-
 # ---------------------------------------------------------------------------
 # growth certificates
 

@@ -54,7 +54,7 @@ from .errors import (
     ValidationError,
     ZeroInput,
 )
-from .fields import INF, PerfSeries, is_inf, valuation
+from .fields import INF, PerfSeries, den_exp, is_inf, valuation
 from .ore import factor_unit
 from .series import CompSeries, GrowthCertificate, growth_certificate, multinomial_coeff
 
@@ -410,13 +410,6 @@ def _residue_root(fld, on_line, r0, a0, b0, q):
     return _min_root_degree(fld, coeffs)
 
 
-def _in_value_group(mu, p):
-    den = mu.denominator
-    while den % p == 0:
-        den //= p
-    return den == 1
-
-
 def _solve_additive(alpha, beta, rhs, wprec, trace=None):
     """The small solution of alpha w - beta w^q = rhs with v(w) >= 0,
     Hensel-lifted to x-adic precision wprec."""
@@ -447,7 +440,7 @@ def _solve_additive(alpha, beta, rhs, wprec, trace=None):
     b0 = beta.leading()[1]
     needed_degree = None
     for mu, on_line in candidates:
-        if mu < 0 or not _in_value_group(mu, fld.p):
+        if mu < 0 or den_exp(mu, fld.p) is None:
             continue
         root = _residue_root(fld, on_line, r0, a0, b0, q)
         if isinstance(root, int):

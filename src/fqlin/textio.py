@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
-from .fields import INF, PerfSeries, is_inf
+from .fields import INF, PerfSeries, den_exp, is_inf
 from .series import CompSeries
 
 __all__ = [
@@ -233,15 +233,11 @@ class _Parser:
                 self.advance()
                 den = self.integer("denominator")
             self.expect("SYM", "}")
-            value = Fraction(num, den)
-            rest = value.denominator
-            while rest % self.field.p == 0:
-                rest //= self.field.p
-            if rest != 1:
+            if den == 0 or den_exp(Fraction(num, den), self.field.p) is None:
                 raise ParseError(
                     f"exponent denominator must be a power of {self.field.p}", pos
                 )
-            return value
+            return Fraction(num, den)
         return Fraction(self.integer("exponent"))
 
     def xmono(self):

@@ -210,6 +210,13 @@ def test_validation_exit_codes(tmp_path):
     assert main(["solve-ode", "-i", str(bad_json), "--order", "2"]) == 2
     no_order = write_doc(tmp_path, "x.json", {"field": {"p": 2}, "P": ["t^[q^1]", "t"]})
     assert main(["solve-implicit", "-i", no_order]) == 2
+    assert main(["add", "--p", "2", "t", "t", "--xprec", "1/-2"]) == 2
+    neg_den = {"field": {"p": 2}, "u": {"N": None, "terms": [{"k": 0, "coef": {
+        "prec": None, "terms": [{"e": {"num": 1, "den_exp": -1}, "c": [1]}]}}]}}
+    assert main(["certify", "-i", write_doc(tmp_path, "neg.json", neg_den)]) == 2
+    ode = write_doc(tmp_path, "ode.json", {"field": {"p": 2}, "a": [{"j": 0, "k": 0, "coef": "x"}]})
+    assert main(["solve-ode", "--order", "-3", "-i", ode]) == 2
+    assert main(["invert", "--p", "2", "t + x*t^[q^1]", "--order", "-2"]) == 2
 
 
 def test_precondition_exit_code(tmp_path):
@@ -249,6 +256,15 @@ def test_manifest_digest_independent_of_input_form(tmp_path):
 
     golden = run_command(["invert", "--p", "2", "t + x*t^[q^1]", "--order", "2"])[1]
     assert golden["manifest"]["inputs"]["u"] == out_text["manifest"]["inputs"]["u"]
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert main(["--help"]) == 0
+    listed = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert listed == [
+        "add", "compose", "power", "invert", "factor", "ore", "fraction-normalize", "tau", "delta",
+        "d", "bracket", "solve-implicit", "solve-ode", "solve-riccati", "eval", "certify", "residual-check",
+    ]
 
 
 def test_output_file_matches_stdout_document(tmp_path, capsys):

@@ -185,6 +185,6 @@ def test_parse_error_expected_hint():
 
 
 def test_parse_rejects_malformed():
-    for bad in ["", "^2", "x^{1/3}", "t^[2]", "(x", "x^{1/2", "g^"]:
+    for bad in ["", "^2", "x^{1/3}", "x^{1/0}", "t^[2]", "(x", "x^{1/2", "g^"]:
         with pytest.raises(ParseError):
             parse_series(F2, bad)
