@@ -310,6 +310,8 @@ def _resolve_xprec(args, field):
         exp = {"num": int(num), "den_exp": int(den or "0")}
     except ValueError:
         raise ValidationError(f"--xprec must look like num or num/den_exp, got {args.xprec!r}")
+    if exp["num"] < 0:
+        raise ValidationError(f"--xprec must be non-negative, got {args.xprec!r}")
     return decode_exp(exp, field.p)
 
 

@@ -43,13 +43,6 @@ def is_inf(value):
     return isinstance(value, float) and math.isinf(value)
 
 
-def vadd(a, b):
-    """Add valuations/precisions where +infinity absorbs."""
-    if is_inf(a) or is_inf(b):
-        return INF
-    return a + b
-
-
 def _is_prime(n):
     if n < 2:
         return False
@@ -62,69 +55,84 @@ def _is_prime(n):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over F_p (integer coefficient lists, constant first),
-# used only to validate and construct residue-field moduli
+# dense polynomials over a residue field (FieldElem coefficient lists,
+# constant first): irreducibility of moduli over F_p and the extension
+# degree a residue equation over F_{q^s} needs
 
 
-def _fp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _poly_trim(f):
+    while f and f[-1].is_zero():
+        f.pop()
+    return f
 
 
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
+def _poly_rem(f, g):
+    f = list(f)
+    lead_inv = g[-1].inverse()
+    while _poly_trim(f) and len(f) >= len(g):
+        shift = len(f) - len(g)
+        factor = f[-1] * lead_inv
+        for i, gi in enumerate(g):
+            f[shift + i] = f[shift + i] - factor * gi
+    return f
 
 
-def _fp_divmod(a, b, p):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError
-    binv = pow(b[-1], p - 2, p)
-    quot = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _fp_trim(a):
-        shift = len(a) - len(b)
-        factor = (a[-1] * binv) % p
-        quot[shift] = factor
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bi) % p
-        _fp_trim(a)
-    return _fp_trim(quot), a
+def _poly_gcd(f, g):
+    f, g = _poly_trim(list(f)), _poly_trim(list(g))
+    while g:
+        f, g = g, _poly_rem(f, g)
+    return f
 
 
-def _fp_monic_polys(p, degree):
-    """All monic polynomials of the given degree, ascending lexicographic
-    order on the coordinate tuple (constant coordinate most significant)."""
-    for coords in product(range(p), repeat=degree):
-        yield list(coords) + [1]
+def _poly_mulmod(f, g, mod):
+    out = [mod[-1].field.zero()] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        if fi.is_zero():
+            continue
+        for j, gj in enumerate(g):
+            out[i + j] = out[i + j] + fi * gj
+    return _poly_rem(out, mod)
 
 
-def _fp_is_irreducible(f, p):
-    degree = len(f) - 1
-    if degree < 1:
-        return False
-    if degree == 1:
-        return True
-    for d in range(1, degree // 2 + 1):
-        for cand in _fp_monic_polys(p, d):
-            _, rem = _fp_divmod(f, cand, p)
-            if not rem:
-                return False
-    return True
+def least_factor_degree(f):
+    """Least degree of an irreducible factor of f (deg f >= 1) over its
+    coefficient field F: the least d >= 1 with deg gcd(f, w^{|F|^d} - w)
+    >= 1, or deg f when there is none up to deg f / 2.  So f is irreducible
+    exactly when the result is deg f (Rabin's test, distinct-degree form)."""
+    f = _poly_trim(list(f))
+    deg = len(f) - 1
+    fld = f[-1].field
+    zero, one = fld.zero(), fld.one()
+    frob = [zero, one]  # w^{|F|^d} mod f, starting from w
+    for d in range(1, deg // 2 + 1):
+        power, base, frob = fld.order, frob, [one]
+        while power:
+            if power & 1:
+                frob = _poly_mulmod(frob, base, f)
+            base = _poly_mulmod(base, base, f)
+            power >>= 1
+        probe = list(frob) + [zero, zero]
+        probe[1] = probe[1] - one
+        if len(_poly_gcd(f, probe)) > 1:
+            return d
+    return deg
+
+
+def _is_irreducible(mod, fp):
+    """Whether the monic integer polynomial mod is irreducible over fp = F_p."""
+    return least_factor_degree([fp.elem(c) for c in mod]) == len(mod) - 1
 
 
 def _first_irreducible(p, degree):
-    for cand in _fp_monic_polys(p, degree):
-        if _fp_is_irreducible(cand, p):
-            return tuple(cand)
-    raise ValidationError(f"no irreducible polynomial of degree {degree} found")
+    """Lexicographically first monic irreducible over F_p of the given degree
+    (constant coordinate most significant)."""
+    if degree == 1:
+        return (0, 1)  # w; FieldConfig(p) itself lands here, so no recursion
+    # w divides every candidate with constant coordinate 0: start the scan at 1
+    fp = FieldConfig(p)
+    for coords in product(range(1, p), *[range(p)] * (degree - 1)):
+        if _is_irreducible(coords + (1,), fp):
+            return coords + (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +173,7 @@ class FieldConfig:
                 raise ValidationError(
                     f"modulus must be monic of degree {degree} (got {mod})"
                 )
-            if not _fp_is_irreducible(list(mod), self.p):
+            if degree > 1 and not _is_irreducible(mod, FieldConfig(self.p)):
                 raise ValidationError(f"modulus {mod} is reducible over F_{self.p}")
         if self.perf_depth is None:
             object.__setattr__(self, "perf_depth", 8 * self.v)
@@ -325,25 +333,7 @@ class FieldElem:
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero field element")
-        # extended Euclid in F_p[y] against the modulus
-        p = self.field.p
-        mod = list(self.field.modulus)
-        r0, r1 = mod, _fp_trim(list(self.coords))
-        t0, t1 = [], [1]
-        while r1:
-            quot, rem = _fp_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            prod = _fp_mul(quot, t1, p)
-            t_next = [
-                ((t0[i] if i < len(t0) else 0) - (prod[i] if i < len(prod) else 0)) % p
-                for i in range(max(len(t0), len(prod)))
-            ]
-            t0, t1 = t1, _fp_trim(t_next)
-        # r0 is the gcd, a nonzero constant since the modulus is irreducible
-        scale = pow(r0[0], p - 2, p)
-        coords = [(scale * (t0[i] if i < len(t0) else 0)) % p
-                  for i in range(self.field.degree)]
-        return FieldElem(self.field, tuple(coords))
+        return self._pow_small(self.field.order - 2)  # Fermat: a^{|F|-1} = 1
 
     def pow_p(self, e):
         """y -> y^{p^e}; negative e applies the inverse Frobenius."""
@@ -517,8 +507,7 @@ class PerfSeries:
     def __mul__(self, other):
         self._check(other)
         prec = min(
-            vadd(self.prec, other.valuation_lb()),
-            vadd(other.prec, self.valuation_lb()),
+            self.prec + other.valuation_lb(), other.prec + self.valuation_lb()
         )
         acc = {}
         for ea, ca in self.terms:

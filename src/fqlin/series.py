@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OutsideConvergenceDomain, ValidationError
-from .fields import INF, PerfSeries, is_inf, vadd, valuation
+from .fields import INF, PerfSeries, is_inf, valuation
 
 
 class CompSeries:
@@ -145,7 +145,7 @@ class CompSeries:
         mb = other.min_index()
         if ma is None or mb is None:
             return CompSeries.zero(self.field)
-        order = min(vadd(self.order, mb), vadd(other.order, ma))
+        order = min(self.order + mb, other.order + ma)
         acc = {}
         for n, a_n in self.terms.items():
             for j, b_j in other.terms.items():

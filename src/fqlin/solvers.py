@@ -54,7 +54,7 @@ from .errors import (
     ValidationError,
     ZeroInput,
 )
-from .fields import INF, PerfSeries, den_exp, is_inf, valuation
+from .fields import INF, PerfSeries, den_exp, is_inf, least_factor_degree, valuation
 from .ore import factor_unit
 from .series import CompSeries, GrowthCertificate, growth_certificate, multinomial_coeff
 
@@ -315,72 +315,6 @@ def _nonzero_a0(fld):
     )
 
 
-# -- residue-field helpers (dense polynomials over FieldElem) --
-
-
-def _poly_trim(f):
-    while f and f[-1].is_zero():
-        f.pop()
-    return f
-
-
-def _poly_divmod(f, g):
-    f = list(f)
-    lead_inv = g[-1].inverse()
-    while _poly_trim(f) and len(f) >= len(g):
-        shift = len(f) - len(g)
-        factor = f[-1] * lead_inv
-        for i, gi in enumerate(g):
-            f[shift + i] = f[shift + i] - factor * gi
-        _poly_trim(f)
-    return f
-
-
-def _poly_gcd(f, g):
-    f, g = _poly_trim(list(f)), _poly_trim(list(g))
-    while g:
-        f, g = g, _poly_divmod(f, g)
-    return f
-
-
-def _poly_mulmod(f, g, mod, zero):
-    out = [zero] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi.is_zero():
-            continue
-        for j, gj in enumerate(g):
-            out[i + j] = out[i + j] + fi * gj
-    return _poly_divmod(out, mod)
-
-
-def _min_root_degree(fld, poly):
-    """Smallest extension degree of the scalar field containing a root of
-    poly (distinct-degree sieve with w^{|F|^delta} - w), given that no
-    root lies in the scalar field itself."""
-    poly = _poly_trim(list(poly))
-    while poly and poly[0].is_zero():
-        poly = poly[1:]  # discard the root w = 0, found by direct search
-    deg = len(poly) - 1
-    zero, one = fld.zero(), fld.one()
-    big_q = fld.order
-    frob = [zero, one]  # the polynomial w
-    for delta in range(1, deg + 1):
-        power = big_q
-        base = frob
-        result = [one]
-        while power:
-            if power & 1:
-                result = _poly_mulmod(result, base, poly, zero)
-            base = _poly_mulmod(base, base, poly, zero)
-            power >>= 1
-        frob = result
-        probe = list(frob) + [zero, zero]
-        probe[1] = probe[1] - one  # w^{|F|^delta} - w
-        if delta > 1 and _poly_gcd(poly, probe):
-            return delta
-    return max(deg, 2)
-
-
 def _residue_root(fld, on_line, r0, a0, b0, q):
     """Lexicographically least nonzero solution of the residue equation
     r0*[0] - a0*w*[1] + b0*w^q*[q] = 0 restricted to the on-line indices.
@@ -407,7 +341,9 @@ def _residue_root(fld, on_line, r0, a0, b0, q):
         coeffs[1] = -a0
     if q in on_line:
         coeffs[q] = b0
-    return _min_root_degree(fld, coeffs)
+    while coeffs[0].is_zero():
+        coeffs = coeffs[1:]  # discard the root w = 0, found by direct search
+    return least_factor_degree(coeffs)
 
 
 def _solve_additive(alpha, beta, rhs, wprec, trace=None):

@@ -217,6 +217,7 @@ def test_validation_exit_codes(tmp_path):
     ode = write_doc(tmp_path, "ode.json", {"field": {"p": 2}, "a": [{"j": 0, "k": 0, "coef": "x"}]})
     assert main(["solve-ode", "--order", "-3", "-i", ode]) == 2
     assert main(["invert", "--p", "2", "t + x*t^[q^1]", "--order", "-2"]) == 2
+    assert main(["invert", "--p", "2", "t + x*t^[q^1]", "--order", "3", "--xprec", "-3"]) == 2
 
 
 def test_precondition_exit_code(tmp_path):

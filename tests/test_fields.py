@@ -54,6 +54,8 @@ def test_default_moduli_are_lexicographically_first():
     assert F8.modulus == (1, 0, 1, 1)
     assert F9.modulus == (1, 0, 1)
     assert FieldConfig(p=5, v=2).modulus == (1, 1, 1)
+    assert FieldConfig(p=101, v=4).modulus == (1, 0, 0, 1, 1)
+    assert FieldConfig(p=7, v=2, s=4).modulus == (1, 0, 0, 0, 0, 0, 1, 2, 1)
 
 
 def test_bad_configs_rejected():
