@@ -10,6 +10,13 @@ exactly below x^prec and unknown from x^prec on; exactly known values carry
 the infinite sentinel.  All values are immutable after construction and all
 arithmetic is exact, so equal inputs always produce identical outputs.
 
+Inside a series every exponent is stored as the integer n = e * p^E, exact
+because E is fixed per field, and the precision as such an integer or
+``None`` for "exact".  Arithmetic on series is then integer arithmetic.
+The constructor and ``x_pow`` take ``Fraction``/``int`` exponents, and
+``terms``, ``prec``, ``leading()`` and ``valuation_lb()`` hand back
+``Fraction``s (or ``INF``), built on each access.
+
 Precision propagates ultrametrically:
 
 * addition keeps ``min(prec_a, prec_b)``,
@@ -25,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -68,10 +74,11 @@ def _poly_trim(f):
 
 def _poly_rem(f, g):
     f = list(f)
-    lead_inv = g[-1].inverse()
+    lead = g[-1]
+    lead_inv = None if lead == lead.field.one() else lead.inverse()
     while _poly_trim(f) and len(f) >= len(g):
         shift = len(f) - len(g)
-        factor = f[-1] * lead_inv
+        factor = f[-1] if lead_inv is None else f[-1] * lead_inv
         for i, gi in enumerate(g):
             f[shift + i] = f[shift + i] - factor * gi
     return f
@@ -103,6 +110,9 @@ def least_factor_degree(f):
     deg = len(f) - 1
     fld = f[-1].field
     zero, one = fld.zero(), fld.one()
+    if f[-1] != one:
+        lead_inv = f[-1].inverse()
+        f = [c * lead_inv for c in f]  # monic: every remainder mod f skips the inverse
     frob = [zero, one]  # w^{|F|^d} mod f, starting from w
     for d in range(1, deg // 2 + 1):
         power, base, frob = fld.order, frob, [one]
@@ -180,6 +190,12 @@ class FieldConfig:
         elif self.perf_depth < 0:
             raise ValidationError("perf_depth must be non-negative")
         object.__setattr__(self, "default_xprec", Fraction(self.default_xprec))
+        # tables kept on the instance, so no multiply hashes the dataclass:
+        # the exponent scale p^perf_depth, the reduction rows, and the
+        # Frobenius columns by k, filled on first use
+        object.__setattr__(self, "_scale", self.p**self.perf_depth)
+        object.__setattr__(self, "_rows", _reduction_rows(self))
+        object.__setattr__(self, "_frobenius", {})
 
     @property
     def q(self):
@@ -197,7 +213,7 @@ class FieldConfig:
 
     def elem(self, value):
         if isinstance(value, FieldElem):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise ValidationError("element belongs to a different field")
             return value
         if isinstance(value, int):
@@ -232,7 +248,6 @@ class FieldConfig:
         return [e for e in self.elements() if e.pow_q(1) == e]
 
 
-@lru_cache(maxsize=None)
 def _reduction_rows(cfg):
     """Coordinates of g^k mod modulus for k = degree .. 2*degree-2."""
     n, p = cfg.degree, cfg.p
@@ -250,7 +265,6 @@ def _reduction_rows(cfg):
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
 def _frobenius_columns(cfg, k):
     """Images of the basis 1, g, ..., g^{n-1} under y -> y^{p^k}."""
     n = cfg.degree
@@ -274,7 +288,9 @@ class FieldElem:
         self.coords = coords
 
     def _check(self, other):
-        if not isinstance(other, FieldElem) or other.field != self.field:
+        if not isinstance(other, FieldElem) or (
+            other.field is not self.field and other.field != self.field
+        ):
             raise ValidationError("mixed-field arithmetic")
 
     def __add__(self, other):
@@ -304,7 +320,7 @@ class FieldElem:
                         prod[i + j] = (prod[i + j] + ai * bj) % p
         if n == 1:
             return FieldElem(self.field, (prod[0],))
-        rows = _reduction_rows(self.field)
+        rows = self.field._rows
         out = prod[:n]
         for k in range(n, 2 * n - 1):
             carry = prod[k]
@@ -341,7 +357,9 @@ class FieldElem:
         k = e % n
         if k == 0:
             return self
-        cols = _frobenius_columns(self.field, k)
+        cols = self.field._frobenius.get(k)
+        if cols is None:
+            cols = self.field._frobenius[k] = _frobenius_columns(self.field, k)
         p = self.field.p
         out = [0] * n
         for i, ci in enumerate(self.coords):
@@ -364,7 +382,7 @@ class FieldElem:
     def __eq__(self, other):
         return (
             isinstance(other, FieldElem)
-            and other.field == self.field
+            and (other.field is self.field or other.field == self.field)
             and other.coords == self.coords
         )
 
@@ -390,19 +408,21 @@ def den_exp(fr, p):
     return e if den == 1 else None
 
 
-def _check_exp(field, fr):
-    if fr.denominator == 1:
-        return fr
-    e = den_exp(fr, field.p)
+def _scaled(field, exp):
+    """The integer n with exp = n / p^perf_depth; raises when exp has no such
+    form (its denominator is not a power of p, or exceeds the depth cap)."""
+    exp = Fraction(exp)
+    n, r = divmod(exp.numerator * field._scale, exp.denominator)
+    if not r:
+        return n
+    e = den_exp(exp, field.p)
     if e is None:
         raise ValidationError(
-            f"exponent denominator of {fr} is not a power of p = {field.p}"
+            f"exponent denominator of {exp} is not a power of p = {field.p}"
         )
-    if e > field.perf_depth:
-        raise PerfectionDepthExceeded(
-            f"exponent {fr} needs perfection depth {e} > cap {field.perf_depth}"
-        )
-    return fr
+    raise PerfectionDepthExceeded(
+        f"exponent {exp} needs perfection depth {e} > cap {field.perf_depth}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -415,32 +435,46 @@ class Valuation(NamedTuple):
 
 
 class PerfSeries:
-    """Finite sum of monomials c*x^e, exponents in Z[1/p], plus precision."""
+    """Finite sum of monomials c*x^e, exponents in Z[1/p], plus precision.
 
-    __slots__ = ("field", "terms", "prec")
+    ``_terms`` holds (n, c) with n = e * p^perf_depth, ascending, every c
+    nonzero and every n below ``_prec``; ``_prec`` is such an integer, or
+    None for an exact value.
+    """
+
+    __slots__ = ("field", "_terms", "_prec")
 
     def __init__(self, field, terms, prec=INF):
-        if not is_inf(prec):
-            prec = _check_exp(field, Fraction(prec))
+        scale = field._scale
+        iprec = None if is_inf(prec) else _scaled(field, prec)
         merged = {}
+        off_grid = {}  # exponents not n / p^perf_depth: an error unless dropped
         items = terms.items() if isinstance(terms, dict) else terms
         for exp, coeff in items:
             exp = Fraction(exp)
-            if exp >= prec:
+            n, r = divmod(exp.numerator * scale, exp.denominator)
+            if iprec is not None and n >= iprec:
                 continue
-            if exp in merged:
-                coeff = merged[exp] + coeff
-            merged[exp] = coeff
-        clean = []
-        for exp in sorted(merged):
-            coeff = merged[exp]
-            if coeff.is_zero():
-                continue
-            _check_exp(field, exp)
-            clean.append((exp, coeff))
+            bucket, key = (off_grid, exp) if r else (merged, n)
+            if key in bucket:
+                coeff = bucket[key] + coeff
+            bucket[key] = coeff
+        bad = [exp for exp, coeff in off_grid.items() if not coeff.is_zero()]
+        if bad:
+            _scaled(field, min(bad))  # raises
         self.field = field
-        self.terms = tuple(clean)
-        self.prec = prec
+        self._terms = _nonzero_sorted(merged)
+        self._prec = iprec
+
+    @classmethod
+    def _make(cls, field, terms, prec):
+        """A series from pairs (n, c) and a precision already in the stored
+        form, skipping the checks of the constructor."""
+        out = object.__new__(cls)
+        out.field = field
+        out._terms = terms
+        out._prec = prec
+        return out
 
     # -- constructors ---------------------------------------------------------
 
@@ -462,43 +496,69 @@ class PerfSeries:
 
     # -- structure ------------------------------------------------------------
 
+    @property
+    def terms(self):
+        """The (exponent, coefficient) pairs, exponents ascending as Fractions."""
+        scale = self.field._scale
+        return tuple((Fraction(n, scale), c) for n, c in self._terms)
+
+    @property
+    def prec(self):
+        """The precision as a Fraction, or INF for an exact value."""
+        return INF if self._prec is None else Fraction(self._prec, self.field._scale)
+
     def _check(self, other):
-        if not isinstance(other, PerfSeries) or other.field != self.field:
+        if not isinstance(other, PerfSeries) or (
+            other.field is not self.field and other.field != self.field
+        ):
             raise ValidationError("mixed-field series arithmetic")
 
     def leading(self):
-        return self.terms[0] if self.terms else None
+        if not self._terms:
+            return None
+        n, c = self._terms[0]
+        return Fraction(n, self.field._scale), c
 
     def valuation_lb(self):
         """Exact valuation if a term is known, else the precision bound."""
-        return self.terms[0][0] if self.terms else self.prec
+        lead = self.leading()
+        return lead[0] if lead else self.prec
 
     def is_zero(self):
         """Zero modulo the known precision."""
-        return not self.terms
+        return not self._terms
 
     def is_exact_zero(self):
-        return not self.terms and is_inf(self.prec)
+        return not self._terms and self._prec is None
 
     def coeff(self, exp):
         exp = Fraction(exp)
-        for e, c in self.terms:
-            if e == exp:
-                return c
-            if e > exp:
-                break
+        n, r = divmod(exp.numerator * self.field._scale, exp.denominator)
+        if not r:
+            for e, c in self._terms:
+                if e == n:
+                    return c
+                if e > n:
+                    break
         return self.field.zero()
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
         self._check(other)
-        prec = min(self.prec, other.prec)
-        return PerfSeries(self.field, list(self.terms) + list(other.terms), prec)
+        pa, pb = self._prec, other._prec
+        prec = pa if pb is None else pb if pa is None else min(pa, pb)
+        acc = {}
+        for terms in (self._terms, other._terms):
+            for n, c in terms:
+                if prec is not None and n >= prec:
+                    break
+                acc[n] = acc[n] + c if n in acc else c
+        return PerfSeries._make(self.field, _nonzero_sorted(acc), prec)
 
     def __neg__(self):
-        return PerfSeries(
-            self.field, [(e, -c) for e, c in self.terms], self.prec
+        return PerfSeries._make(
+            self.field, tuple((n, -c) for n, c in self._terms), self._prec
         )
 
     def __sub__(self, other):
@@ -506,36 +566,50 @@ class PerfSeries:
 
     def __mul__(self, other):
         self._check(other)
-        prec = min(
-            self.prec + other.valuation_lb(), other.prec + self.valuation_lb()
-        )
+        a, b = self._terms, other._terms
+        pa, pb = self._prec, other._prec
+        # min(prec_a + val_b, prec_b + val_a), where a missing term means
+        # val = prec and None (exact) absorbs the sum
+        prec = None
+        if pa is not None and (b or pb is not None):
+            prec = pa + (b[0][0] if b else pb)
+        if pb is not None and (a or pa is not None):
+            right = pb + (a[0][0] if a else pa)
+            if prec is None or right < prec:
+                prec = right
+        if not (a and b):
+            return PerfSeries._make(self.field, (), prec)
+        limit = a[-1][0] + b[-1][0] + 1 if prec is None else prec
         acc = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
+        for ea, ca in a:
+            for eb, cb in b:
                 e = ea + eb
-                if e >= prec:
-                    continue
-                prod = ca * cb
-                if e in acc:
-                    acc[e] = acc[e] + prod
-                else:
-                    acc[e] = prod
-        return PerfSeries(self.field, acc, prec)
+                if e >= limit:
+                    break  # b ascends: the rest of the row is past the precision
+                acc[e] = acc[e] + ca * cb if e in acc else ca * cb
+        return PerfSeries._make(self.field, _nonzero_sorted(acc), prec)
 
     def scale(self, elem):
         elem = self.field.elem(elem)
         if elem.is_zero():
-            return PerfSeries.zero(self.field, self.prec)
-        return PerfSeries(
-            self.field, [(e, c * elem) for e, c in self.terms], self.prec
+            return PerfSeries._make(self.field, (), self._prec)
+        return PerfSeries._make(
+            self.field, tuple((n, c * elem) for n, c in self._terms), self._prec
         )
 
     def shift_x(self, exp):
         """Multiply by the exact monomial x^exp."""
         exp = Fraction(exp)
-        prec = self.prec if is_inf(self.prec) else self.prec + exp
-        return PerfSeries(
-            self.field, [(e + exp, c) for e, c in self.terms], prec
+        shift, r = divmod(exp.numerator * self.field._scale, exp.denominator)
+        if r:
+            # off the exponent grid: the constructor raises unless no
+            # shifted exponent survives (the exact zero)
+            return PerfSeries(
+                self.field, [(e + exp, c) for e, c in self.terms], self.prec + exp
+            )
+        prec = None if self._prec is None else self._prec + shift
+        return PerfSeries._make(
+            self.field, tuple((n + shift, c) for n, c in self._terms), prec
         )
 
     def inv(self, prec=None):
@@ -545,74 +619,98 @@ class PerfSeries:
         infinite expansion, which is truncated at the field's default
         relative precision unless an explicit absolute ``prec`` is given.
         """
-        lead = self.leading()
-        if lead is None:
-            if is_inf(self.prec):
+        fld = self.field
+        if not self._terms:
+            if self._prec is None:
                 raise DivisionByZero("inverse of the zero series")
             raise PrecisionExhausted(
                 f"cannot invert a series known only as O(x^{self.prec})"
             )
-        w, c0 = lead
-        limit = INF if is_inf(self.prec) else self.prec - 2 * w
+        w, c0 = self._terms[0]
+        scale = fld._scale
+        # the limit is settled as a rational: a requested precision may lie
+        # off the exponent grid, which _scaled reports once it is the limit
+        limit = None if self._prec is None else Fraction(self._prec - 2 * w, scale)
         if prec is not None and not is_inf(prec):
-            limit = min(limit, Fraction(prec))
-        if is_inf(limit):
-            if len(self.terms) == 1:
-                return PerfSeries(self.field, [(-w, c0.inverse())], INF)
-            limit = self.field.default_xprec - w
-        if limit <= -w:
+            limit = Fraction(prec) if limit is None else min(limit, Fraction(prec))
+        if limit is None:
+            if len(self._terms) == 1:
+                return PerfSeries._make(fld, ((-w, c0.inverse()),), None)
+            limit = fld.default_xprec - Fraction(w, scale)
+        if limit * scale <= -w:
             raise PrecisionExhausted(
                 "inverse would carry no known digits at the requested precision"
             )
+        limit = _scaled(fld, limit)
         c0_inv = c0.inverse()
         digits = []
-        rem = PerfSeries.one(self.field)
-        while rem.terms:
-            e_r, c_r = rem.terms[0]
+        rem = PerfSeries.one(fld)
+        while rem._terms:
+            e_r, c_r = rem._terms[0]
             e_d = e_r - w
             if e_d >= limit:
                 break
             c_d = c_r * c0_inv
             digits.append((e_d, c_d))
-            mono = PerfSeries(self.field, [(e_d, c_d)])
+            mono = PerfSeries._make(fld, ((e_d, c_d),), None)
             rem = rem - mono * self
-        return PerfSeries(self.field, digits, limit)
+        return PerfSeries._make(fld, tuple(digits), limit)
 
     def frobenius(self, e):
         """Raise to the q^e-th power (q-th roots for negative e)."""
         if e == 0:
             return self
-        qe = Fraction(self.field.q) ** e
-        prec = self.prec if is_inf(self.prec) else self.prec * qe
-        shift = e * self.field.v
-        terms = [(exp * qe, c.pow_p(shift)) for exp, c in self.terms]
-        return PerfSeries(self.field, terms, prec)
+        fld = self.field
+        qe = fld.q ** abs(e)
+        shift = e * fld.v
+        prec = self._prec
+        if e > 0:
+            terms = tuple((n * qe, c.pow_p(shift)) for n, c in self._terms)
+            return PerfSeries._make(fld, terms, None if prec is None else prec * qe)
+        # a root stays on the grid exactly when q^-e divides every stored exponent
+        for n in ([] if prec is None else [prec]) + [n for n, _ in self._terms]:
+            if n % qe:
+                _scaled(fld, Fraction(n, fld._scale * qe))  # raises
+        terms = tuple((n // qe, c.pow_p(shift)) for n, c in self._terms)
+        return PerfSeries._make(fld, terms, None if prec is None else prec // qe)
 
     def root_q(self):
         return self.frobenius(-1)
 
     def truncate(self, prec):
-        if prec is None or is_inf(prec) or prec >= self.prec:
+        if prec is None or is_inf(prec):
             return self
-        return PerfSeries(self.field, self.terms, Fraction(prec))
+        prec = Fraction(prec)
+        scale = self.field._scale
+        if self._prec is not None and prec.numerator * scale >= self._prec * prec.denominator:
+            return self
+        n = _scaled(self.field, prec)
+        return PerfSeries._make(
+            self.field, tuple(t for t in self._terms if t[0] < n), n
+        )
 
     # -- comparison -----------------------------------------------------------
 
     def __eq__(self, other):
         return (
             isinstance(other, PerfSeries)
-            and other.field == self.field
-            and other.terms == self.terms
-            and other.prec == self.prec
+            and (other.field is self.field or other.field == self.field)
+            and other._terms == self._terms
+            and other._prec == self._prec
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.modulus, self.terms, self.prec))
+        return hash((self.field.p, self.field.modulus, self._terms, self._prec))
 
     def __repr__(self):
         body = " + ".join(f"{c!r}*x^{e}" for e, c in self.terms) or "0"
-        tail = "" if is_inf(self.prec) else f" + O(x^{self.prec})"
+        tail = "" if self._prec is None else f" + O(x^{self.prec})"
         return f"<PerfSeries {body}{tail}>"
+
+
+def _nonzero_sorted(acc):
+    """The items of acc (n -> c) with c nonzero, by ascending n."""
+    return tuple((n, c) for n, c in sorted(acc.items()) if any(c.coords))
 
 
 def valuation(a):

@@ -23,8 +23,9 @@ from fqlin import (
     valuation,
 )
 from fqlin.jsonio import decode_exp, encode_exp
+from fqlin.textio import parse_series
 
-from conftest import F2, F3, F4, F8, F9, SMALL_FIELDS, elems, perf_series
+from conftest import F2, F3, F4, F8, F9, SMALL_FIELDS, elems, exponents, perf_series
 
 
 def oracle_mul(cfg, a_coords, b_coords):
@@ -345,3 +346,169 @@ def test_scale_and_shift():
     sh = a.shift_x(Fraction(1, 2))
     assert sh.coeff(Fraction(1, 2)) == F4.one()
     assert sh.prec == Fraction(5, 2)
+
+
+# -- depth cap of q-th roots --------------------------------------------------
+
+
+def test_root_respects_the_depth_cap():
+    shallow = FieldConfig(p=2, perf_depth=1)
+    with pytest.raises(PerfectionDepthExceeded):
+        PerfSeries.x_pow(shallow, Fraction(1, 2)).root_q()
+    with pytest.raises(PerfectionDepthExceeded):
+        PerfSeries.zero(shallow, prec=Fraction(1, 2)).root_q()
+    # q = 4, depth 16: a root divides the denominator by q, not by p
+    assert F4.perf_depth == 16
+    root = PerfSeries.x_pow(F4, Fraction(1, 2**14)).root_q()
+    assert root == PerfSeries.x_pow(F4, Fraction(1, 2**16))
+    with pytest.raises(PerfectionDepthExceeded):
+        PerfSeries.x_pow(F4, Fraction(1, 2**15)).root_q()
+
+
+def test_equal_values_are_equal_however_built():
+    pairs = [
+        (PerfSeries.x_pow(F2, Fraction(2, 4)), PerfSeries.x_pow(F2, Fraction(1, 2))),
+        (PerfSeries.x_pow(F3, 3), PerfSeries.x_pow(F3, Fraction(3))),
+        (parse_series(F2, "x^{1/2} + O(x^{6/4})"),
+         PerfSeries(F2, [(Fraction(1, 2), F2.one())], prec=Fraction(3, 2))),
+        # an equal field that is a different object
+        (PerfSeries.x_pow(FieldConfig(p=2, v=2), 1, F4.gen()), PerfSeries.x_pow(F4, 1, F4.gen())),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert a.terms == b.terms and a.prec == b.prec
+    assert PerfSeries.x_pow(FieldConfig(p=2), 1) * PerfSeries.x_pow(F2, 1) == PerfSeries.x_pow(F2, 2)
+    with pytest.raises(ValidationError):
+        PerfSeries.one(F2) * PerfSeries.one(F3)
+    with pytest.raises(ValidationError):
+        PerfSeries.one(F4) + PerfSeries.one(FieldConfig(p=2, v=2, perf_depth=3))
+    with pytest.raises(ValidationError):
+        F2.one() * F3.one()
+
+
+# -- series arithmetic against a Fraction-keyed schoolbook reference ----------
+#
+# A reference value is (terms, prec): a dict exponent -> coefficient with
+# Fraction exponents, and a Fraction precision or None for "exact".  The rules
+# are the ones in the fields module docstring, applied term by term.
+
+
+def ref_of(a):
+    return dict(a.terms), None if is_inf(a.prec) else a.prec
+
+
+def ref_normal(terms, prec):
+    """The (terms, prec) attributes a series with this content must show."""
+    kept = tuple(
+        (e, terms[e])
+        for e in sorted(terms)
+        if not terms[e].is_zero() and (prec is None or e < prec)
+    )
+    return kept, INF if prec is None else prec
+
+
+def ref_min(*precs):
+    finite = [pr for pr in precs if pr is not None]
+    return min(finite) if finite else None
+
+
+def ref_val(terms, prec):
+    live = [e for e, c in terms.items() if not c.is_zero()]
+    return min(live) if live else prec
+
+
+def ref_neg(a):
+    ta, pa = a
+    return {e: -c for e, c in ta.items()}, pa
+
+
+def ref_add(a, b):
+    (ta, pa), (tb, pb) = a, b
+    out = dict(ta)
+    for e, c in tb.items():
+        out[e] = out[e] + c if e in out else c
+    return out, ref_min(pa, pb)
+
+
+def ref_mul(a, b):
+    (ta, pa), (tb, pb) = a, b
+    va, vb = ref_val(ta, pa), ref_val(tb, pb)
+    left = None if pa is None or vb is None else pa + vb
+    right = None if pb is None or va is None else pb + va
+    out = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            out[ea + eb] = out[ea + eb] + ca * cb if ea + eb in out else ca * cb
+    return out, ref_min(left, right)
+
+
+def ref_inv(cfg, a, prec):
+    """Long division 1 / a, one digit per step, to the precision the rules give."""
+    ta, pa = a
+    w = min(e for e, c in ta.items() if not c.is_zero())
+    c0_inv = ta[w].inverse()
+    limit = ref_min(None if pa is None else pa - 2 * w, prec)
+    if limit is None:
+        limit = cfg.default_xprec - w
+    digits = {}
+    rem = {Fraction(0): cfg.one()}
+    while True:
+        live = [e for e, c in rem.items() if not c.is_zero()]
+        if not live or min(live) - w >= limit:
+            return digits, limit
+        e_r = min(live)
+        d = rem[e_r] * c0_inv
+        digits[e_r - w] = d
+        for e, c in ta.items():
+            key = e_r - w + e
+            rem[key] = rem.get(key, cfg.zero()) - d * c
+
+
+def ref_frobenius(cfg, a, e):
+    ta, pa = a
+    qe = Fraction(cfg.q) ** e
+    return {x * qe: c.pow_q(e) for x, c in ta.items()}, None if pa is None else pa * qe
+
+
+def ref_shift(a, s):
+    ta, pa = a
+    return {x + s: c for x, c in ta.items()}, None if pa is None else pa + s
+
+
+def ref_truncate(a, t):
+    ta, pa = a
+    return ta, ref_min(pa, t)
+
+
+def assert_matches(series, ref):
+    assert (series.terms, series.prec) == ref_normal(*ref)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_series_arithmetic_matches_reference(data):
+    cfg = data.draw(st.sampled_from([F2, F3, F4]))
+    a = data.draw(perf_series(cfg, exact=False))
+    b = data.draw(perf_series(cfg, exact=False))
+    ra, rb = ref_of(a), ref_of(b)
+    assert_matches(a + b, ref_add(ra, rb))
+    assert_matches(-a, ref_neg(ra))
+    assert_matches(a - b, ref_add(ra, ref_neg(rb)))
+    assert_matches(a * b, ref_mul(ra, rb))
+    assert_matches(a.frobenius(1), ref_frobenius(cfg, ra, 1))
+    assert_matches(a.frobenius(-1), ref_frobenius(cfg, ra, -1))
+    s = data.draw(exponents(cfg))
+    assert_matches(a.shift_x(s), ref_shift(ra, s))
+    t = data.draw(exponents(cfg, depth=1, span=8))
+    assert_matches(a.truncate(t), ref_truncate(ra, t))
+    if not a.is_zero():
+        want = data.draw(st.one_of(st.none(), exponents(cfg, depth=1, span=8)))
+        limit = ref_inv(cfg, ra, want)[1]
+        if limit <= -a.terms[0][0]:
+            with pytest.raises(PrecisionExhausted):
+                a.inv(prec=want)
+        elif want is None and is_inf(a.prec) and len(a.terms) == 1:
+            e, c = a.terms[0]
+            assert_matches(a.inv(), ({-e: c.inverse()}, None))
+        else:
+            assert_matches(a.inv(prec=want), ref_inv(cfg, ra, want))
