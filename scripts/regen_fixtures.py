@@ -55,6 +55,14 @@ CASES = [
     ("solve-ode-time-change",
      ["solve-ode", "--order", "3", "--xprec", "12", "--check"],
      {"field": F2, "a": [{"j": 0, "k": 0, "coef": "x^-1"}, {"j": 0, "k": 2, "coef": "1"}]}),
+    ("solve-implicit-shifted",
+     ["solve-implicit", "--order", "7", "--xprec", "8", "--check"],
+     {"field": F2, "nu": 1, "P": ["x*t^[q^3] + x^-1*t^[q^4]", "t^[q^1] + x*t^[q^2]",
+                                  "t + x^-1*t^[q^1]", "x*t + t^[q^2]"]}),
+    ("solve-ode-nonlinear",
+     ["solve-ode", "--order", "5", "--xprec", "16", "--check"],
+     {"field": F2, "a": [{"j": 0, "k": 0, "coef": "x^-1"}, {"j": 1, "k": 0, "coef": "x + x^2"},
+                         {"j": 0, "k": 3, "coef": "1"}, {"j": 1, "k": 1, "coef": "x"}]}),
     ("solve-riccati-golden",
      ["solve-riccati", "--order", "3", "--xprec", "8", "--check"],
      {"field": F2, "lam": "x^{1/4}", "p": [], "r": [], "branch": "zero"}),

@@ -243,10 +243,6 @@ class FieldConfig:
         for coords in product(range(self.p), repeat=self.degree):
             yield FieldElem(self, coords)
 
-    def fq_elements(self):
-        """The subfield F_q inside F_{q^s} (fixed points of the q-power map)."""
-        return [e for e in self.elements() if e.pow_q(1) == e]
-
 
 def _reduction_rows(cfg):
     """Coordinates of g^k mod modulus for k = degree .. 2*degree-2."""
@@ -311,7 +307,7 @@ class FieldElem:
     def __mul__(self, other):
         self._check(other)
         p = self.field.p
-        n = self.field.degree
+        n = len(self.coords)
         prod = [0] * (2 * n - 1)
         for i, ai in enumerate(self.coords):
             if ai:
@@ -353,7 +349,7 @@ class FieldElem:
 
     def pow_p(self, e):
         """y -> y^{p^e}; negative e applies the inverse Frobenius."""
-        n = self.field.degree
+        n = len(self.coords)
         k = e % n
         if k == 0:
             return self

@@ -255,31 +255,44 @@ def growth_certificate(u):
 # multinomial coefficients of compositional powers
 
 
+class _PowerTable:
+    """M_k[m], the index-m coefficient of z^{o k} for z = sum_{n>=1} c_n t^{q^n},
+    with c_n read from the live table ``coeffs``.  M_0 = t, M_1[m] = c_m and,
+    for k >= 2 (z outermost), M_k[m] = sum_{n>=1} c_n * M_{k-1}[m-n]^{q^n},
+    which reads c_n for n <= m - k + 1 only.  Entries with k >= 2 are kept
+    once computed, so each must involve only c_n already in ``coeffs`` when
+    first asked for.  M_1 is ``coeffs`` itself, where a solver adds its
+    unknown, and is never cached."""
+
+    def __init__(self, field, coeffs):
+        self.coeffs = coeffs
+        self.kept = {}  # (k, m) -> M_k[m] for k >= 2
+        self.zero = PerfSeries.zero(field)
+        self.one = PerfSeries.one(field)
+
+    def get(self, k, m):
+        if k == 0:
+            return self.one if m == 0 else self.zero
+        if k == 1:
+            return self.coeffs.get(m, self.zero)
+        entry = self.kept.get((k, m))
+        if entry is None:
+            entry = self.zero
+            for n in range(1, m - k + 2):
+                c_n = self.coeffs.get(n)
+                if c_n is None:
+                    continue
+                lower = self.get(k - 1, m - n)
+                if not lower.is_exact_zero():
+                    entry = entry + c_n * lower.frobenius(n)
+            self.kept[k, m] = entry
+        return entry
+
+
 def multinomial_coeff(l, k, coeffs, field):
-    """Coefficient at index l of z^{o k} for z = sum_{n>=1} c_n t^{q^n}.
-
-    Computed by the recursion (z outermost)
-
-        M_{j}[m] = sum_{n>=1} c_n * M_{j-1}[m-n]^{q^n},
-
-    which only ever touches c_n with n <= m - (j-1), so partially known
-    coefficient tables are safe as long as entries up to l-k+1 are present.
-    """
+    """Coefficient at index l of z^{o k} for z = sum_{n>=1} c_n t^{q^n} (exact
+    zero for k < 1 or l < k), from a one-shot _PowerTable.  Only c_n with
+    n <= l - k + 1 are read, so a partially known ``coeffs`` is safe."""
     if k < 1 or l < k:
         return PerfSeries.zero(field)
-    zero = PerfSeries.zero(field)
-    prev = {m: coeffs.get(m, zero) for m in range(1, l - k + 2)}
-    for j in range(2, k + 1):
-        cur = {}
-        for m in range(j, l - k + j + 1):
-            acc = zero
-            for n, c_n in coeffs.items():
-                if n < 1 or m - n < j - 1:
-                    continue
-                lower = prev.get(m - n)
-                if lower is None or lower.is_exact_zero():
-                    continue
-                acc = acc + c_n * lower.frobenius(n)
-            cur[m] = acc
-        prev = cur
-    return prev.get(l, zero)
+    return _PowerTable(field, coeffs).get(k, l)

@@ -26,6 +26,21 @@ inhomogeneous column, which would suffice for linear equations, does not
 survive the k >= 2 terms, so the transform used here is
 z = (gamma t) o z' o (gamma^{-1} t), i.e. c_i = gamma^{1-q^i} c'_i.
 
+The implicit equation and the ODE are solved by one coefficient
+recursion.  Each becomes a list of (k, n, a) terms; a term stands for
+a * (z^{o k})_{e-n}^{q^n} at equation index e, with a P_k's coefficient at
+index n for the implicit equation, a_{nk} for the ODE.  Since z^{o 0} = t,
+P_0 and the inhomogeneous column a_{j0} join the same sum.  Step i sums
+the terms at e = i + nu (implicit) or e = i - 1 (ODE); c_i itself is not
+yet known there and reads zero.  The solver's own step turns the sum s
+into c_i: (-(u_0^{-1} s))^{q^{-nu}} for the implicit equation and
+[i]^{-1} s^q for the ODE.  The multinomials M_k[m] = (z^{o k})_m come from
+one table per solve, which keeps every entry once computed and grows as
+the steps ask for more: the online ("relaxed") evaluation of van der
+Hoeven, "Relax, but don't be too lazy" (J. Symbolic Comput. 2002).  At
+step i every entry with k >= 2 involves only c_1 .. c_{i-1}, so it is
+final when it is computed.
+
 Riccati-type equations d y = lambda (y o y) + P(tau) y + R with
 y = c t^{1/q} + sum_n a_n t^{q^n}: the fractional index forces
 c = lambda^{-1} [-1]^{1/q} exactly and a_0^{1/q} + a_0 = 0; each later
@@ -56,7 +71,7 @@ from .errors import (
 )
 from .fields import INF, PerfSeries, den_exp, is_inf, least_factor_degree, valuation
 from .ore import factor_unit
-from .series import CompSeries, GrowthCertificate, growth_certificate, multinomial_coeff
+from .series import CompSeries, GrowthCertificate, _PowerTable, growth_certificate
 
 __all__ = [
     "GrowthCertificate",
@@ -78,6 +93,29 @@ def _coerce_coeff(field, value, what):
     if not isinstance(value, PerfSeries) or value.field != field:
         raise ValidationError(f"{what} must be a scalar series over the problem field")
     return value
+
+
+# ---------------------------------------------------------------------------
+# the coefficient recursion shared by the implicit and ODE solvers
+
+
+def _recursion(fld, terms, indices, shift, step):
+    """c_i = step(i, s) for i in indices, where s = sum a * M_k[e - n]^{q^n}
+    over the (k, n, a) terms at equation index e = i + shift.  c_i enters
+    the table after its step, so the term holding it reads zero."""
+    coeffs = {}
+    powers = _PowerTable(fld, coeffs)
+    for i in indices:
+        e = i + shift
+        s = PerfSeries.zero(fld)
+        for k, n, a in terms:
+            m = powers.get(k, e - n)
+            if not m.is_exact_zero():
+                s = s + a * m.frobenius(n)
+        c = step(i, s)
+        if not c.is_exact_zero():
+            coeffs[i] = c
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +164,7 @@ def solve_implicit(prob, order, xprec=None):
     nu = prob.nu
     fld = prob.field
     p0, p1 = prob.P[0], prob.P[1]
-    fact = factor_unit(p1)
-    u0_inv = fact.unit.coeff(0).inv()
-    nonlinear = [
-        (k, pk) for k, pk in enumerate(prob.P) if k >= 2 and not pk.is_exact_zero()
-    ]
+    u0_inv = factor_unit(p1).unit.coeff(0).inv()
     for j in range(2 * nu + 1):
         if not p0.coeff(j).is_zero():
             raise NotSolvable(f"the constant term is nonzero at index {j} <= 2 nu")
@@ -139,32 +173,16 @@ def solve_implicit(prob, order, xprec=None):
         bounds.append(p0.order - nu)
     if not is_inf(p1.order):
         bounds.append(p1.order + 1)
-    for k, pk in nonlinear:
+    for k, pk in enumerate(prob.P[2:], start=2):
         if not is_inf(pk.order):
             bounds.append(pk.order + k * (nu + 1) - nu)
     n_eff = int(min(bounds))
-    coeffs = {}
-    for i in range(nu + 1, n_eff + 1):
-        j = i + nu
-        total = p0.coeff(j)
-        for l, p1_l in p1.terms.items():
-            if l == nu or j - l not in coeffs:
-                continue
-            total = total + p1_l * coeffs[j - l].frobenius(l)
-        for k, pk in nonlinear:
-            for n, p_n in pk.terms.items():
-                l = j - n
-                if l < k:
-                    continue
-                m = multinomial_coeff(l, k, coeffs, fld)
-                if m.is_exact_zero():
-                    continue
-                total = total + p_n * m.frobenius(n)
-        c_i = (-(u0_inv * total)).frobenius(-nu)
-        if xprec is not None:
-            c_i = c_i.truncate(xprec)
-        if not c_i.is_exact_zero():
-            coeffs[i] = c_i
+    terms = [(k, n, a) for k, pk in enumerate(prob.P) for n, a in pk.terms.items()]
+
+    def step(i, s):
+        return (-(u0_inv * s)).frobenius(-nu).truncate(xprec)
+
+    coeffs = _recursion(fld, terms, range(nu + 1, n_eff + 1), nu, step)
     z = CompSeries(fld, coeffs, n_eff)
     return z, growth_certificate(z)
 
@@ -195,29 +213,15 @@ class OdeProblem:
 def solve_ode(prob, order, xprec=None):
     """Unique solution z = sum_{i>=1} c_i t^{q^i} and its certificate."""
     fld = prob.field
-    coeffs = {}
-    for i in range(order):
-        total = prob.a.get((i, 0), PerfSeries.zero(fld))
-        for (j, k), a_jk in prob.a.items():
-            if k < 1:
-                continue
-            l = i - j
-            if l < k:
-                continue
-            m = multinomial_coeff(l, k, coeffs, fld)
-            if m.is_exact_zero():
-                continue
-            total = total + a_jk * m.frobenius(j)
-        if total.is_exact_zero():
-            continue
-        binv = bracket(fld, i + 1).inv(
-            prec=None if xprec is None else Fraction(xprec) + 1
-        )
-        c = binv * total.frobenius(1)
-        if xprec is not None:
-            c = c.truncate(xprec)
-        if not c.is_exact_zero():
-            coeffs[i + 1] = c
+    terms = [(k, j, a) for (j, k), a in prob.a.items()]
+    bracket_prec = None if xprec is None else Fraction(xprec) + 1
+
+    def step(i, s):
+        if s.is_exact_zero():
+            return s  # stays unstored; truncating would make it O(x^xprec)
+        return (bracket(fld, i).inv(prec=bracket_prec) * s.frobenius(1)).truncate(xprec)
+
+    coeffs = _recursion(fld, terms, range(1, order + 1), -1, step)
     z = CompSeries(fld, coeffs, order)
     return z, growth_certificate(z)
 
@@ -306,9 +310,7 @@ def _nonzero_a0(fld):
     """Lexicographically least nonzero root of a^{1/q} + a = 0; in odd
     characteristic the roots may only exist in a quadratic extension."""
     for e in fld.elements():
-        if e.is_zero():
-            continue
-        if e.pow_q(-1) == -e:
+        if not e.is_zero() and e.pow_q(-1) == -e:
             return e
     raise NeedsFieldExtension(
         2, "no nonzero solution of a^{q-1} = -1 in the scalar residue field"
@@ -322,25 +324,11 @@ def _residue_root(fld, on_line, r0, a0, b0, q):
     Returns a field element, or the extension degree needed when the
     equation has no root in the scalar field."""
     zero = fld.zero()
+    monomials = {i: c for i, c in ((0, r0), (1, -a0), (q, b0)) if i in on_line}
     for w in fld.elements():
-        if w.is_zero():
-            continue
-        acc = zero
-        if 0 in on_line:
-            acc = acc + r0
-        if 1 in on_line:
-            acc = acc - a0 * w
-        if q in on_line:
-            acc = acc + b0 * (w**q)
-        if acc.is_zero():
+        if not w.is_zero() and sum((c * w**i for i, c in monomials.items()), zero).is_zero():
             return w
-    coeffs = [zero] * (q + 1)
-    if 0 in on_line:
-        coeffs[0] = r0
-    if 1 in on_line:
-        coeffs[1] = -a0
-    if q in on_line:
-        coeffs[q] = b0
+    coeffs = [monomials.get(i, zero) for i in range(q + 1)]
     while coeffs[0].is_zero():
         coeffs = coeffs[1:]  # discard the root w = 0, found by direct search
     return least_factor_degree(coeffs)

@@ -24,7 +24,9 @@ from fqlin import (
     ValidationError,
     bracket,
     growth_certificate,
+    is_inf,
     normalize_time_change,
+    parse_series,
     residual,
     solve_implicit,
     solve_ode,
@@ -155,14 +157,34 @@ def test_implicit_shifted_round_trip(data):
     z_true = CompSeries(cfg, z_terms)
     p1 = CompSeries.monomial(cfg, nu, data.draw(elems(cfg, nonzero=True)))
     p2 = CompSeries.monomial(cfg, data.draw(st.integers(0, 1)))
-    p0 = -(p1.compose(z_true) + p2.compose(z_true.compose(z_true)))
-    prob = ImplicitProblem((p0, p1, p2), nu=nu)
+    # a cubic term reads M_3, whose cached entries must wait for c_1 .. c_{i-1}
+    p3 = CompSeries.monomial(cfg, data.draw(st.integers(0, 1)), data.draw(elems(cfg)))
+    p0 = -(p1.compose(z_true) + p2.compose(z_true.self_power(2)) + p3.compose(z_true.self_power(3)))
+    prob = ImplicitProblem((p0, p1, p2, p3), nu=nu)
     order = nu + 5
     z, cert = solve_implicit(prob, order)
     assert_cs_close(z, z_true.truncate(order))
     for i in range(nu + 1):
         assert z.coeff(i).is_zero()
     assert zero_residual(residual(prob, z, order))
+
+
+def test_implicit_xprec_truncates_the_exact_solution():
+    # nu = 1 with P_2, P_3 at index 0 and poles: the exact coefficients have
+    # growing exponents, and truncating each step at xprec must agree with
+    # the exact solve modulo every coefficient's precision
+    texts = ("x*t^[q^3] + x^-1*t^[q^4]", "t^[q^1] + x*t^[q^2]", "t + x^-1*t^[q^1]", "x*t + t^[q^2]")
+    prob = ImplicitProblem(tuple(parse_series(F2, text) for text in texts), nu=1)
+    order = 6
+    exact, _ = solve_implicit(prob, order)
+    assert all(is_inf(c.prec) for c in exact.terms.values())
+    for xprec in (Fraction(1, 2), Fraction(3), Fraction(8)):
+        z, _ = solve_implicit(prob, order, xprec=xprec)
+        assert sorted(z.terms) == sorted(exact.terms)
+        for i, c in z.terms.items():
+            assert c.prec <= xprec
+            assert (c - exact.coeff(i)).is_zero()
+        assert zero_residual(residual(prob, z, order))
 
 
 def test_implicit_rejects_bad_problems():
@@ -251,7 +273,7 @@ def test_ode_residual_vanishes(data):
     cfg = data.draw(st.sampled_from([F2, F3]))
     support = data.draw(
         st.sets(
-            st.tuples(st.integers(0, 2), st.integers(0, 2)),
+            st.tuples(st.integers(0, 2), st.integers(0, 3)),
             min_size=1,
             max_size=3,
         )
