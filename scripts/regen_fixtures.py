@@ -37,10 +37,20 @@ CASES = [
     ("compose-sample", ["compose", "--p", "2", "t^[q^1]", "x*t + t^[q^1]"], None),
     ("power-identity", ["power", "--p", "2", "t", "--k", "5"], None),
     ("invert-golden", ["invert", "--p", "2", "t + x*t^[q^1]", "--order", "3"], None),
+    ("invert-inexact",
+     ["invert", "--p", "3",
+      "(1 + x + O(x^6))*t + (x^-1 + O(x^4))*t^[q^1] + x*t^[q^2] + O(t^[q^5])",
+      "--order", "4", "--xprec", "12"], None),
     ("factor-monomial", ["factor", "--p", "2", "x*t^[q^1] + t^[q^2]"], None),
     ("ore-golden", ["ore", "--p", "2", "t^[q^1]", "t^[q^1] + x*t^[q^2]", "--order", "6"], None),
+    ("ore-inexact",
+     ["ore", "--p", "2", "(x + O(x^5))*t^[q^1] + t^[q^2]",
+      "x^-1*t + (1 + O(x^3))*t^[q^1] + O(t^[q^4])", "--order", "4"], None),
     ("fraction-normalize-unit",
      ["fraction-normalize", "--p", "2", "t + x*t^[q^1]", "t", "--order", "3"], None),
+    ("fraction-normalize-dense",
+     ["fraction-normalize", "--p", "2", "t^[q^1] + x*t^[q^2] + (x^-1 + x^2)*t^[q^3] + t^[q^4]",
+      "x*t + t^[q^2]", "--order", "5"], None),
     ("tau-twist", ["tau", "--p", "2", "x*t^[q^1]", "--j", "1"], None),
     ("delta-eigenvalue", ["delta", "--p", "2", "t^[q^1]"], None),
     ("delta-meromorphic", ["delta", "--p", "2", "x*t^[q^-1]"], None),

@@ -3,10 +3,13 @@
 Under composition the series with an invertible coefficient at index 0 are
 exactly the units; every nonzero series splits as c = u o t^{q^m} with u a
 unit and m the index of the first nonzero coefficient, because
-post-composition with t^{q^m} shifts indices plainly.  Units invert through
-a compositional geometric series: writing u = (u_0 t) o (t + w) with
-w = sum_{l>=1} u_0^{-1} u_l t^{q^l}, the inverse of t + w is
-sum_n (-1)^n w^{o n}, locally finite since w^{o n} starts at index n.
+post-composition with t^{q^m} shifts indices plainly.  The inverse v of a
+unit u solves v o u = t, which is triangular in the index:
+
+    v_l = (delta_{l0} - sum_{n<l} v_n u_{l-n}^{q^n}) (u_0^{q^l})^{-1},
+
+so u^{-1} is the cofactor a' of the Ore pair (t, u) below, computed by the
+same right division.
 
 Any two nonzero series a, b admit a common left multiple
 
@@ -96,31 +99,11 @@ def factor_unit(c):
 
 def invert_unit(u, order=None, xprec=None):
     """Compositional inverse of a unit, with coefficients up to ``order``."""
-    m, u0 = _leading(u, "unit")
+    m, _ = _leading(u, "unit")
     if m != 0:
         raise NotAUnit(f"first nonzero coefficient sits at index {m}, not 0")
-    n_cap = u.order if order is None else min(order, u.order)
-    if is_inf(n_cap):
-        raise ValidationError("inverting an exact unit needs an order cap")
-    n_cap = int(n_cap)
-    u0_inv = u0.inv()
-    neg_w = CompSeries(
-        u.field,
-        {l: -(u0_inv * c) for l, c in u.terms.items() if l >= 1},
-        n_cap,
-    )
-    total = CompSeries.identity(u.field)
-    power = total
-    for _ in range(n_cap):
-        power = neg_w.compose(power)
-        first = power.min_index()
-        if first is None or first > n_cap:
-            break
-        total = total + power
-    result = total.scale_right(u0_inv).truncate(n_cap)
-    if xprec is not None:
-        result = result.truncate_x(xprec)
-    return result
+    inv, _ = ore_left_multiple(CompSeries.identity(u.field), u, order)
+    return inv.truncate_x(xprec)
 
 
 def ore_left_multiple(a, b, order=None):
@@ -141,7 +124,7 @@ def ore_left_multiple(a, b, order=None):
     if not is_inf(b.order):
         cap = min(cap, b.order + k0 - l)
     if is_inf(cap):
-        raise ValidationError("Ore construction on exact inputs needs an order cap")
+        raise ValidationError("an exact input needs an order cap (--order)")
     cap = int(cap)
     beta_inv = beta.inv()
     target = CompSeries(
@@ -153,8 +136,8 @@ def ore_left_multiple(a, b, order=None):
     for k in range(k0, cap + 1):
         s = target.coeff(k + l)
         for i, qi in quot.items():
-            bc = b.coeff(k + l - i)
-            if not bc.is_exact_zero():
+            bc = b.terms.get(k + l - i)
+            if bc is not None:
                 s = s - qi * bc.frobenius(i)
         if s.is_exact_zero():
             continue

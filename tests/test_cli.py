@@ -199,7 +199,7 @@ def test_check_flag_failure_exits_4(tmp_path, monkeypatch):
 # -- exit codes and diagnostics --------------------------------------------------
 
 
-def test_validation_exit_codes(tmp_path):
+def test_validation_exit_codes(tmp_path, capsys):
     assert main(["add", "--p", "2", "t$", "t"]) == 2
     assert main(["add", "t", "t"]) == 2
     assert main(["add", "--p", "2", "t"]) == 2
@@ -218,6 +218,15 @@ def test_validation_exit_codes(tmp_path):
     assert main(["solve-ode", "--order", "-3", "-i", ode]) == 2
     assert main(["invert", "--p", "2", "t + x*t^[q^1]", "--order", "-2"]) == 2
     assert main(["invert", "--p", "2", "t + x*t^[q^1]", "--order", "3", "--xprec", "-3"]) == 2
+    # exact inputs without an order cap; the message names the missing flag
+    for argv in (
+        ["invert", "--p", "2", "t + x*t^[q^1]"],
+        ["ore", "--p", "2", "t^[q^1]", "t + x*t^[q^1]"],
+        ["fraction-normalize", "--p", "2", "t + x*t^[q^1]", "t"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "--order" in capsys.readouterr().err
 
 
 def test_precondition_exit_code(tmp_path):

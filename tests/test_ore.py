@@ -3,7 +3,9 @@
 Every result here is checked by multiplying back: a factorization must
 recompose to its input, an inverse must compose to the identity on both
 sides, and an Ore pair must satisfy the common-multiple balance exactly on
-all indices both sides know.
+all indices both sides know.  Unit inversion is also checked byte for byte
+against the compositional geometric series, an independent algorithm kept
+here only as a reference.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqlin import (
+    INF,
     CompSeries,
     NotAUnit,
     OreFraction,
@@ -27,8 +30,9 @@ from fqlin import (
     ore_left_multiple,
     tau_power,
 )
+from fqlin.jsonio import encode_comp
 
-from conftest import F2, F3, F4, assert_cs_close, perf_series
+from conftest import F2, F3, F4, assert_cs_close, exponents, perf_series
 from test_series import comp_series
 
 
@@ -119,6 +123,47 @@ def test_invert_unit_is_an_involution():
     )
     back = invert_unit(invert_unit(u, order=5), order=5)
     assert back.terms == u.truncate(5).terms
+
+
+def _geometric_inverse(u, n_cap):
+    """u^{-1} as a compositional geometric series: writing
+    u = (u_0 t) o (t + w) with w = sum_{l>=1} u_0^{-1} u_l t^{q^l}, the
+    inverse of t + w is sum_n (-w)^{o n}, locally finite since w^{o n}
+    starts at index n."""
+    u0_inv = u.coeff(0).inv()
+    neg_w = CompSeries(
+        u.field,
+        {l: -(u0_inv * c) for l, c in u.terms.items() if l >= 1},
+        n_cap,
+    )
+    total = CompSeries.identity(u.field)
+    power = total
+    for _ in range(n_cap):
+        power = neg_w.compose(power)
+        first = power.min_index()
+        if first is None or first > n_cap:
+            break
+        total = total + power
+    return total.scale_right(u0_inv).truncate(n_cap)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_invert_unit_matches_geometric_series(data):
+    cfg = data.draw(st.sampled_from([F2, F3, F4]))
+    head = data.draw(perf_series(cfg, max_terms=2, exact=False, nonzero=True))
+    tail = data.draw(
+        st.lists(
+            st.tuples(st.integers(1, 3), perf_series(cfg, max_terms=2, exact=False)),
+            max_size=2,
+        )
+    )
+    input_order = data.draw(st.one_of(st.just(INF), st.integers(1, 5)))
+    u = CompSeries(cfg, [(0, head)] + tail, input_order)
+    n = data.draw(st.integers(0, 5))
+    xprec = data.draw(st.one_of(st.none(), exponents(cfg, depth=1, span=12)))
+    ref = _geometric_inverse(u, min(n, input_order)).truncate_x(xprec)
+    assert encode_comp(invert_unit(u, order=n, xprec=xprec)) == encode_comp(ref)
 
 
 @given(st.data())
