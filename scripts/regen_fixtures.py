@@ -76,6 +76,14 @@ CASES = [
     ("solve-riccati-golden",
      ["solve-riccati", "--order", "3", "--xprec", "8", "--check"],
      {"field": F2, "lam": "x^{1/4}", "p": [], "r": [], "branch": "zero"}),
+    ("solve-riccati-lift",
+     ["solve-riccati", "--order", "4", "--xprec", "12", "--check"],
+     {"field": F2, "lam": "x^{1/4}", "p": [{"k": 1, "coef": "x"}],
+      "r": [{"k": 0, "coef": "x^{1/2}"}], "branch": "zero"}),
+    ("solve-riccati-nonzero",
+     ["solve-riccati", "--order", "4", "--xprec", "12", "--check"],
+     {"field": {"p": 3, "s": 2}, "lam": "x^{1/9}", "p": [{"k": 1, "coef": "x^{10/9}"}],
+      "r": [{"k": 0, "coef": "x^{19/9}"}], "branch": "nonzero"}),
     ("eval-monomial", ["eval", "--p", "2", "t^[q^1]", "x"], None),
     ("certify-pole",
      ["certify", "--p", "2", "x^-2*t^[q^1] + x^-4*t^[q^2] + O(t^[q^3])"], None),

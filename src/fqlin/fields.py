@@ -21,7 +21,8 @@ Precision propagates ultrametrically:
 
 * addition keeps ``min(prec_a, prec_b)``,
 * multiplication keeps ``min(prec_a + val_b, prec_b + val_a)``,
-* inversion keeps ``prec_a - 2*val_a``.
+* inversion keeps ``prec_a - 2*val_a``,
+* division a / b keeps the precision of the product a * b^{-1}.
 
 Raising to the q-th power multiplies exponents and precision by q;
 q-th roots divide them by q and may hit the perfection depth cap.
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import product
 from typing import NamedTuple
 
@@ -608,6 +610,70 @@ class PerfSeries:
             self.field, tuple((n + shift, c) for n, c in self._terms), prec
         )
 
+    def div(self, other, prec=None):
+        """The quotient self / other: the terms and precision of
+        ``self * other.inv(prec)``, without forming the inverse.
+
+        Long division emits one digit per leading term of the remainder,
+        so the cost is |quotient| * |other|: linear in the output for a
+        binomial divisor.
+        """
+        fld = other.field
+        if not other._terms:
+            if other._prec is None:
+                raise DivisionByZero("division by the zero series")
+            raise PrecisionExhausted(
+                f"cannot divide by a series known only as O(x^{other.prec})"
+            )
+        w, c0 = other._terms[0]
+        scale = fld._scale
+        # the inverse's precision prec_d - 2*val_d, settled as a rational: a
+        # requested precision may lie off the exponent grid, which _scaled
+        # reports once it is the limit
+        limit = None if other._prec is None else Fraction(other._prec - 2 * w, scale)
+        if prec is not None and not is_inf(prec):
+            limit = Fraction(prec) if limit is None else min(limit, Fraction(prec))
+        if limit is None:
+            if len(other._terms) == 1:
+                return self * PerfSeries._make(fld, ((-w, c0.inverse()),), None)
+            limit = fld.default_xprec - Fraction(w, scale)
+        if limit * scale <= -w:
+            raise PrecisionExhausted(
+                "inverse would carry no known digits at the requested precision"
+            )
+        limit = _scaled(fld, limit)
+        self._check(other)
+        # __mul__'s rule against an inverse of valuation -w and precision
+        # limit; with no known term, prec_a - w wins since limit > -w
+        a, pa = self._terms, self._prec
+        if not a:
+            return PerfSeries._make(fld, (), None if pa is None else pa - w)
+        qprec = limit + a[0][0]
+        if pa is not None and pa - w < qprec:
+            qprec = pa - w
+        stop = qprec + w  # a remainder term from stop on gives no digit
+        c0_inv = c0.inverse()
+        tail = [(n - w, -(c * c0_inv)) for n, c in other._terms[1:]]
+        rem = {n: c for n, c in a if n < stop}
+        heap = list(rem)  # ascending, so already a heap
+        digits = []
+        while heap:
+            n = heappop(heap)
+            c = rem.pop(n)
+            if not any(c.coords):
+                continue
+            digits.append((n - w, c * c0_inv))
+            for m, t in tail:
+                key = n + m
+                if key >= stop:
+                    break  # tail ascends: the rest lands past the precision
+                if key in rem:
+                    rem[key] = rem[key] + c * t
+                else:
+                    rem[key] = c * t
+                    heappush(heap, key)
+        return PerfSeries._make(fld, tuple(digits), qprec)
+
     def inv(self, prec=None):
         """Multiplicative inverse, carrying precision prec_a - 2*val_a.
 
@@ -615,42 +681,7 @@ class PerfSeries:
         infinite expansion, which is truncated at the field's default
         relative precision unless an explicit absolute ``prec`` is given.
         """
-        fld = self.field
-        if not self._terms:
-            if self._prec is None:
-                raise DivisionByZero("inverse of the zero series")
-            raise PrecisionExhausted(
-                f"cannot invert a series known only as O(x^{self.prec})"
-            )
-        w, c0 = self._terms[0]
-        scale = fld._scale
-        # the limit is settled as a rational: a requested precision may lie
-        # off the exponent grid, which _scaled reports once it is the limit
-        limit = None if self._prec is None else Fraction(self._prec - 2 * w, scale)
-        if prec is not None and not is_inf(prec):
-            limit = Fraction(prec) if limit is None else min(limit, Fraction(prec))
-        if limit is None:
-            if len(self._terms) == 1:
-                return PerfSeries._make(fld, ((-w, c0.inverse()),), None)
-            limit = fld.default_xprec - Fraction(w, scale)
-        if limit * scale <= -w:
-            raise PrecisionExhausted(
-                "inverse would carry no known digits at the requested precision"
-            )
-        limit = _scaled(fld, limit)
-        c0_inv = c0.inverse()
-        digits = []
-        rem = PerfSeries.one(fld)
-        while rem._terms:
-            e_r, c_r = rem._terms[0]
-            e_d = e_r - w
-            if e_d >= limit:
-                break
-            c_d = c_r * c0_inv
-            digits.append((e_d, c_d))
-            mono = PerfSeries._make(fld, ((e_d, c_d),), None)
-            rem = rem - mono * self
-        return PerfSeries._make(fld, tuple(digits), limit)
+        return PerfSeries._make(self.field, ((0, self.field.one()),), None).div(self, prec)
 
     def frobenius(self, e):
         """Raise to the q^e-th power (q-th roots for negative e)."""

@@ -73,7 +73,8 @@ class CompSeries:
     # -- structure ------------------------------------------------------------
 
     def coeff(self, k):
-        return self.terms.get(k, PerfSeries.zero(self.field))
+        c = self.terms.get(k)
+        return PerfSeries.zero(self.field) if c is None else c
 
     def min_index(self):
         """Smallest index whose coefficient might be nonzero, or None for an

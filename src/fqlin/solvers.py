@@ -52,7 +52,8 @@ coefficient solves the additive equation
 
 handled by a Newton-polygon analysis over the value group Z[1/p], a
 residue-field solve, and a Hensel fixed-point lift w <- (rhs + beta w^q)
-/ alpha whose error contracts as e -> (beta/alpha) e^q.
+/ alpha whose error contracts as e -> (beta/alpha) e^q.  Each step divides
+by the binomial alpha exactly (``PerfSeries.div``); 1/alpha is never formed.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def solve_ode(prob, order, xprec=None):
     def step(i, s):
         if s.is_exact_zero():
             return s  # stays unstored; truncating would make it O(x^xprec)
-        return (bracket(fld, i).inv(prec=bracket_prec) * s.frobenius(1)).truncate(xprec)
+        return s.frobenius(1).div(bracket(fld, i), prec=bracket_prec).truncate(xprec)
 
     coeffs = _recursion(fld, terms, range(1, order + 1), -1, step)
     z = CompSeries(fld, coeffs, order)
@@ -313,7 +314,7 @@ def _nonzero_a0(fld):
         if not e.is_zero() and e.pow_q(-1) == -e:
             return e
     raise NeedsFieldExtension(
-        2, "no nonzero solution of a^{q-1} = -1 in the scalar residue field"
+        2, "Riccati a_0: no nonzero solution of a^{q-1} = -1 in the scalar residue field"
     )
 
 
@@ -334,9 +335,9 @@ def _residue_root(fld, on_line, r0, a0, b0, q):
     return least_factor_degree(coeffs)
 
 
-def _solve_additive(alpha, beta, rhs, wprec, trace=None):
+def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
     """The small solution of alpha w - beta w^q = rhs with v(w) >= 0,
-    Hensel-lifted to x-adic precision wprec."""
+    Hensel-lifted to x-adic precision wprec; errors name the Riccati step l."""
     fld = alpha.field
     q = fld.q
     v_alpha = valuation(alpha).value
@@ -358,7 +359,6 @@ def _solve_additive(alpha, beta, rhs, wprec, trace=None):
         candidates = [(Fraction(v_r - v_beta) / q, (0, 1, q))]
     else:
         candidates = [(Fraction(v_r - v_beta) / q, (0, q))]
-    alpha_inv = alpha.inv(prec=stop - 2 * v_alpha + 1)
     r0 = rhs.leading()[1]
     a0 = alpha.leading()[1]
     b0 = beta.leading()[1]
@@ -371,14 +371,16 @@ def _solve_additive(alpha, beta, rhs, wprec, trace=None):
             needed_degree = root if needed_degree is None else min(needed_degree, root)
             continue
         w = PerfSeries.x_pow(fld, mu, root)
-        res = rhs - (alpha * w - beta * w.frobenius(1))
+        bwq = beta * w.frobenius(1)  # shared by this residual and the next update
+        res = rhs - (alpha * w - bwq)
         res_vals = [valuation(res).value]
         converged = res.is_zero() or res_vals[-1] >= stop
         for _ in range(64):
             if converged:
                 break
-            w = alpha_inv * (rhs + beta * w.frobenius(1))
-            res = rhs - (alpha * w - beta * w.frobenius(1))
+            w = (rhs + bwq).div(alpha, prec=stop - 2 * v_alpha + 1)
+            bwq = beta * w.frobenius(1)
+            res = rhs - (alpha * w - bwq)
             v_now = valuation(res).value
             if not res.is_zero() and v_now <= res_vals[-1]:
                 break  # stalled: not the contracting branch
@@ -390,11 +392,12 @@ def _solve_additive(alpha, beta, rhs, wprec, trace=None):
             return w.truncate(wprec)
     if needed_degree is not None:
         raise NeedsFieldExtension(
-            needed_degree, "residue equation has no root in the scalar field"
+            needed_degree,
+            f"Riccati step l = {l} (a_{l + 1}): residue equation has no root in the scalar field",
         )
     raise NonConvergent(
-        "no contracting root with non-negative valuation; the equation "
-        "falls outside the certified parameter range"
+        f"Riccati step l = {l} (a_{l + 1}): no contracting root with non-negative "
+        "valuation; the equation falls outside the certified parameter range"
     )
 
 
@@ -434,7 +437,7 @@ def solve_riccati(prob, order, xprec=None, trace=None):
         if r_l is not None:
             rhs = rhs + r_l
         step_trace = None if trace is None else []
-        w = _solve_additive(alpha, beta, rhs, wprec, trace=step_trace)
+        w = _solve_additive(alpha, beta, rhs, wprec, l, trace=step_trace)
         if trace is not None:
             trace.append({"l": l, "steps": step_trace})
         a.append(w.frobenius(1))

@@ -15,6 +15,7 @@ from fqlin import (
     DivisionByZero,
     FieldConfig,
     INF,
+    KernelError,
     PerfSeries,
     PerfectionDepthExceeded,
     PrecisionExhausted,
@@ -513,3 +514,44 @@ def test_series_arithmetic_matches_reference(data):
             assert_matches(a.inv(), ({-e: c.inverse()}, None))
         else:
             assert_matches(a.inv(prec=want), ref_inv(cfg, ra, want))
+    want = data.draw(st.one_of(st.none(), exponents(cfg, depth=1, span=8)))
+    if b.is_exact_zero():
+        with pytest.raises(DivisionByZero):
+            a.div(b, prec=want)
+    elif b.is_zero():
+        with pytest.raises(PrecisionExhausted):
+            a.div(b, prec=want)
+    elif ref_inv(cfg, rb, want)[1] <= -b.terms[0][0]:
+        with pytest.raises(PrecisionExhausted):
+            a.div(b, prec=want)
+    elif want is None and is_inf(b.prec) and len(b.terms) == 1:
+        e, c = b.terms[0]
+        assert_matches(a.div(b), ref_mul(ra, ({-e: c.inverse()}, None)))
+    else:
+        assert_matches(a.div(b, prec=want), ref_mul(ra, ref_inv(cfg, rb, want)))
+
+
+def _outcome(thunk):
+    """(terms, prec) of the series thunk() returns, or the error type it raises."""
+    try:
+        out = thunk()
+    except KernelError as exc:
+        return type(exc)
+    return out.terms, out.prec
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_div_equals_product_with_inverse(data):
+    # the Hensel divisors alpha_l = x^{q^l} - x^{1/q^2} and the ODE brackets
+    # [i] = x^{q^i} - x, against exact and inexact dividends
+    cfg = data.draw(st.sampled_from([F2, F3, F4]))
+    q, i = cfg.q, data.draw(st.integers(0, 3))
+    low = data.draw(st.sampled_from([Fraction(1, q**2), Fraction(1)]))
+    d = PerfSeries(cfg, [(Fraction(q) ** i, cfg.one()), (low, -cfg.one())])
+    x = data.draw(perf_series(cfg, max_terms=6, depth=2 * cfg.v, exact=data.draw(st.booleans())))
+    off_grid = [Fraction(7, 5), Fraction(5, cfg.p ** (cfg.perf_depth + 1))]
+    prec = data.draw(
+        st.one_of(st.none(), exponents(cfg, depth=2 * cfg.v, span=40), st.sampled_from(off_grid))
+    )
+    assert _outcome(lambda: x.div(d, prec=prec)) == _outcome(lambda: x * d.inv(prec=prec))
