@@ -1,21 +1,27 @@
 """Exact arithmetic for the coefficient field F_{q^s}((x))^perf.
 
 The scalar tower is built in two layers.  The residue field F_{q^s} with
-q = p^v is realised as F_p[g]/(modulus) with elements stored as coordinate
-tuples over F_p (constant coordinate first).  On top of it sit perfected
-Laurent series: finite sums of monomials c*x^e whose exponents e live in
-Z[1/p] (denominators limited to p^E for a configurable depth E), together
-with an x-adic precision marker.  A series with precision ``prec`` is known
-exactly below x^prec and unknown from x^prec on; exactly known values carry
-the infinite sentinel.  All values are immutable after construction and all
-arithmetic is exact, so equal inputs always produce identical outputs.
+q = p^v is realised as F_p[g]/(modulus); its public element type
+``FieldElem`` holds coordinate tuples over F_p (constant coordinate first).
+On top of it sit perfected Laurent series: finite sums of monomials c*x^e
+whose exponents e live in Z[1/p] (denominators limited to p^E for a
+configurable depth E), together with an x-adic precision marker.  A series
+with precision ``prec`` is known exactly below x^prec and unknown from
+x^prec on; exactly known values carry the infinite sentinel.  All values
+are immutable after construction and all arithmetic is exact, so equal
+inputs always produce identical outputs.
 
-Inside a series every exponent is stored as the integer n = e * p^E, exact
-because E is fixed per field, and the precision as such an integer or
-``None`` for "exact".  Arithmetic on series is then integer arithmetic.
-The constructor and ``x_pow`` take ``Fraction``/``int`` exponents, and
-``terms``, ``prec``, ``leading()`` and ``valuation_lb()`` hand back
-``Fraction``s (or ``INF``), built on each access.
+Inside a series an exponent is stored as the integer n = e * p^E (E is
+fixed per field), the precision as such an integer or ``None`` for "exact".
+A coefficient is stored as an ``int`` code over a prime field and up to
+order 2^16: its coordinates packed base p, constant coordinate least
+significant, so 0 is zero.  Above 2^16 it is the ``FieldElem`` itself.
+The field supplies the coefficient arithmetic (``FieldConfig._ops``, built
+on first use): residues mod p over a prime field; log/antilog tables up to
+order 2^16, with XOR addition in characteristic 2 and a Zech table
+otherwise; ``FieldElem``'s own operations above.  The constructor takes
+``FieldElem``s, and ``terms``, ``coeff``, ``leading()`` and ``prec`` build
+``FieldElem``s and ``Fraction``s (or ``INF``) on each access.
 
 Precision propagates ultrametrically:
 
@@ -31,8 +37,11 @@ q-th roots divide them by q and may hit the perfection depth cap.
 from __future__ import annotations
 
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import product
 from typing import NamedTuple
@@ -198,6 +207,9 @@ class FieldConfig:
         object.__setattr__(self, "_scale", self.p**self.perf_depth)
         object.__setattr__(self, "_rows", _reduction_rows(self))
         object.__setattr__(self, "_frobenius", {})
+        # series coefficients are int codes up to TABLE_ORDER and over a
+        # prime field, FieldElems otherwise
+        object.__setattr__(self, "_coded", degree == 1 or self.p**degree <= TABLE_ORDER)
 
     @property
     def q(self):
@@ -245,35 +257,98 @@ class FieldConfig:
         for coords in product(range(self.p), repeat=self.degree):
             yield FieldElem(self, coords)
 
+    def _encode(self, elem):
+        if not self._coded:
+            return elem
+        code = 0
+        for c in reversed(elem.coords):
+            code = code * self.p + c
+        return code
+
+    def _decode(self, code):
+        if not self._coded:
+            return code
+        p = self.p
+        return FieldElem(self, tuple(code // p**i % p for i in range(self.degree)))
+
+    @cached_property
+    def _ops(self):
+        return _code_ops(self)
+
 
 def _reduction_rows(cfg):
     """Coordinates of g^k mod modulus for k = degree .. 2*degree-2."""
-    n, p = cfg.degree, cfg.p
-    rows = []
-    current = [(-cfg.modulus[i]) % p for i in range(n)]  # g^n
-    rows.append(tuple(current))
-    for _ in range(n - 2):
-        shifted = [0] + current[:-1]
-        carry = current[-1]
-        if carry:
-            for i in range(n):
-                shifted[i] = (shifted[i] - carry * cfg.modulus[i]) % p
-        current = shifted
-        rows.append(tuple(current))
+    n, p, mod = cfg.degree, cfg.p, cfg.modulus
+    rows = [tuple(-c % p for c in mod[:n])]  # g^n
+    for _ in range(n - 2):  # shift by g, then reduce the carry out of g^{n-1}
+        top = rows[-1][-1]
+        rows.append(tuple((c - top * m) % p for c, m in zip((0,) + rows[-1][:-1], mod)))
     return tuple(rows)
+
+
+# arithmetic on series coefficients: ``inv`` takes a nonzero one, and
+# ``frob(k)`` is the map y -> y^{p^k}, or None for the identity
+_CodeOps = namedtuple("_CodeOps", "add neg mul inv frob")
+TABLE_ORDER = 2**16  # the largest field order with log/Zech tables
+
+
+def _code_ops(cfg):
+    p, n, order = cfg.p, cfg.degree, cfg.order
+    if n == 1:
+        return _CodeOps(
+            operator.xor if p == 2 else lambda a, b: (a + b) % p,
+            lambda a: -a % p,
+            lambda a, b: a * b % p,
+            lambda a: pow(a, p - 2, p),
+            lambda k: None,
+        )
+    if not cfg._coded:  # the coefficients are FieldElems
+        pow_p = lambda k: None if k % n == 0 else lambda c: c.pow_p(k)
+        return _CodeOps(operator.add, operator.neg, operator.mul, FieldElem.inverse, pow_p)
+    enc, dec = cfg._encode, cfg._decode
+    # exp[k] = h^k for the primitive h of least code (h^{m/r} != 1 for each
+    # prime r | m).  x -> x*h is F_p-linear: each power is the sum of the images
+    # of the last one's low and high digits, an XOR in characteristic 2
+    m, split, one = order - 1, p ** (n // 2), cfg.one()
+    primes = [r for r in range(2, m + 1) if m % r == 0 and _is_prime(r)]
+    h = next(h for h in map(dec, range(2, order)) if all(h ** (m // r) != one for r in primes))
+    low = [enc(dec(c) * h) for c in range(split)]
+    high = [enc(dec(c * split) * h) for c in range(order // split)]
+    dadd = operator.xor if p == 2 else lambda a, b: enc(dec(a) + dec(b))
+    # log[0] = 2m sends a product with zero, and a Zech sum that cancels,
+    # into the zero tail of exp
+    powers, log, x = [], [2 * m] * order, 1
+    for k in range(m):
+        powers.append(x)
+        log[x] = k
+        x = dadd(low[x % split], high[x // split])
+    exp = powers * 2 + [0] * (2 * m + 1)
+    if p > 2:
+        zech = [log[x + 1 if (x + 1) % p else x + 1 - p] for x in powers]  # log(1 + h^k)
+
+        def add(a, b):
+            if not a or not b:
+                return a or b
+            la = log[a]
+            return exp[la + zech[log[b] - la]]
+
+    frob = {}
+
+    def frob_table(k):
+        k %= n
+        if k and k not in frob:
+            frob[k] = [0] + [exp[log[c] * p**k % m] for c in range(1, order)]
+        return frob[k].__getitem__ if k else None
+
+    neg = [exp[l + (m // 2 if p > 2 else 0)] for l in log]  # -1 = h^{m/2} for odd p
+    inv = [exp[m - l] for l in log]
+    mul = lambda a, b: exp[log[a] + log[b]]
+    return _CodeOps(operator.xor if p == 2 else add, neg.__getitem__, mul, inv.__getitem__, frob_table)
 
 
 def _frobenius_columns(cfg, k):
     """Images of the basis 1, g, ..., g^{n-1} under y -> y^{p^k}."""
-    n = cfg.degree
-    cols = []
-    for i in range(n):
-        e = FieldElem(cfg, tuple(1 if j == i else 0 for j in range(n)))
-        img = e
-        for _ in range(k):
-            img = img._pow_small(cfg.p)
-        cols.append(img.coords)
-    return tuple(cols)
+    return tuple((cfg.gen() ** (i * cfg.p**k)).coords for i in range(cfg.degree))
 
 
 class FieldElem:
@@ -435,9 +510,11 @@ class Valuation(NamedTuple):
 class PerfSeries:
     """Finite sum of monomials c*x^e, exponents in Z[1/p], plus precision.
 
-    ``_terms`` holds (n, c) with n = e * p^perf_depth, ascending, every c
-    nonzero and every n below ``_prec``; ``_prec`` is such an integer, or
-    None for an exact value.
+    ``_terms`` is a list, never changed after construction, of (n, c) with
+    n = e * p^perf_depth ascending, c a nonzero coefficient (a code, or a
+    ``FieldElem`` above 2^16; decoded only by ``terms``, ``coeff`` and
+    ``leading``) and n below ``_prec``; ``_prec`` is such an integer, or
+    None for exact.
     """
 
     __slots__ = ("field", "_terms", "_prec")
@@ -453,11 +530,12 @@ class PerfSeries:
             n, r = divmod(exp.numerator * scale, exp.denominator)
             if iprec is not None and n >= iprec:
                 continue
+            code = field._encode(field.elem(coeff))
             bucket, key = (off_grid, exp) if r else (merged, n)
             if key in bucket:
-                coeff = bucket[key] + coeff
-            bucket[key] = coeff
-        bad = [exp for exp, coeff in off_grid.items() if not coeff.is_zero()]
+                code = field._ops.add(bucket[key], code)
+            bucket[key] = code
+        bad = [exp for exp, code in off_grid.items() if code]
         if bad:
             _scaled(field, min(bad))  # raises
         self.field = field
@@ -497,8 +575,8 @@ class PerfSeries:
     @property
     def terms(self):
         """The (exponent, coefficient) pairs, exponents ascending as Fractions."""
-        scale = self.field._scale
-        return tuple((Fraction(n, scale), c) for n, c in self._terms)
+        scale, dec = self.field._scale, self.field._decode
+        return tuple((Fraction(n, scale), dec(c)) for n, c in self._terms)
 
     @property
     def prec(self):
@@ -515,12 +593,13 @@ class PerfSeries:
         if not self._terms:
             return None
         n, c = self._terms[0]
-        return Fraction(n, self.field._scale), c
+        return Fraction(n, self.field._scale), self.field._decode(c)
 
     def valuation_lb(self):
         """Exact valuation if a term is known, else the precision bound."""
-        lead = self.leading()
-        return lead[0] if lead else self.prec
+        if self._terms:
+            return Fraction(self._terms[0][0], self.field._scale)
+        return self.prec
 
     def is_zero(self):
         """Zero modulo the known precision."""
@@ -532,13 +611,8 @@ class PerfSeries:
     def coeff(self, exp):
         exp = Fraction(exp)
         n, r = divmod(exp.numerator * self.field._scale, exp.denominator)
-        if not r:
-            for e, c in self._terms:
-                if e == n:
-                    return c
-                if e > n:
-                    break
-        return self.field.zero()
+        c = None if r else dict(self._terms).get(n)
+        return self.field.zero() if c is None else self.field._decode(c)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -546,17 +620,19 @@ class PerfSeries:
         self._check(other)
         pa, pb = self._prec, other._prec
         prec = pa if pb is None else pb if pa is None else min(pa, pb)
+        add = self.field._ops.add
         acc = {}
         for terms in (self._terms, other._terms):
             for n, c in terms:
                 if prec is not None and n >= prec:
                     break
-                acc[n] = acc[n] + c if n in acc else c
+                acc[n] = add(acc[n], c) if n in acc else c
         return PerfSeries._make(self.field, _nonzero_sorted(acc), prec)
 
     def __neg__(self):
+        neg = self.field._ops.neg
         return PerfSeries._make(
-            self.field, tuple((n, -c) for n, c in self._terms), self._prec
+            self.field, [(n, neg(c)) for n, c in self._terms], self._prec
         )
 
     def __sub__(self, other):
@@ -576,24 +652,25 @@ class PerfSeries:
             if prec is None or right < prec:
                 prec = right
         if not (a and b):
-            return PerfSeries._make(self.field, (), prec)
+            return PerfSeries._make(self.field, [], prec)
         limit = a[-1][0] + b[-1][0] + 1 if prec is None else prec
+        ops = self.field._ops
+        add, mul = ops.add, ops.mul
         acc = {}
         for ea, ca in a:
             for eb, cb in b:
                 e = ea + eb
                 if e >= limit:
                     break  # b ascends: the rest of the row is past the precision
-                acc[e] = acc[e] + ca * cb if e in acc else ca * cb
+                t = mul(ca, cb)
+                acc[e] = add(acc[e], t) if e in acc else t
         return PerfSeries._make(self.field, _nonzero_sorted(acc), prec)
 
     def scale(self, elem):
-        elem = self.field.elem(elem)
-        if elem.is_zero():
-            return PerfSeries._make(self.field, (), self._prec)
-        return PerfSeries._make(
-            self.field, tuple((n, c * elem) for n, c in self._terms), self._prec
-        )
+        fld = self.field
+        code, mul = fld._encode(fld.elem(elem)), fld._ops.mul
+        terms = [(n, mul(c, code)) for n, c in self._terms] if code else []
+        return PerfSeries._make(fld, terms, self._prec)
 
     def shift_x(self, exp):
         """Multiply by the exact monomial x^exp."""
@@ -607,7 +684,7 @@ class PerfSeries:
             )
         prec = None if self._prec is None else self._prec + shift
         return PerfSeries._make(
-            self.field, tuple((n + shift, c) for n, c in self._terms), prec
+            self.field, [(n + shift, c) for n, c in self._terms], prec
         )
 
     def div(self, other, prec=None):
@@ -633,9 +710,10 @@ class PerfSeries:
         limit = None if other._prec is None else Fraction(other._prec - 2 * w, scale)
         if prec is not None and not is_inf(prec):
             limit = Fraction(prec) if limit is None else min(limit, Fraction(prec))
+        ops = fld._ops
         if limit is None:
             if len(other._terms) == 1:
-                return self * PerfSeries._make(fld, ((-w, c0.inverse()),), None)
+                return self * PerfSeries._make(fld, [(-w, ops.inv(c0))], None)
             limit = fld.default_xprec - Fraction(w, scale)
         if limit * scale <= -w:
             raise PrecisionExhausted(
@@ -647,32 +725,33 @@ class PerfSeries:
         # limit; with no known term, prec_a - w wins since limit > -w
         a, pa = self._terms, self._prec
         if not a:
-            return PerfSeries._make(fld, (), None if pa is None else pa - w)
+            return PerfSeries._make(fld, [], None if pa is None else pa - w)
         qprec = limit + a[0][0]
         if pa is not None and pa - w < qprec:
             qprec = pa - w
         stop = qprec + w  # a remainder term from stop on gives no digit
-        c0_inv = c0.inverse()
-        tail = [(n - w, -(c * c0_inv)) for n, c in other._terms[1:]]
+        add, mul = ops.add, ops.mul
+        c0_inv = ops.inv(c0)
+        tail = [(n - w, ops.neg(mul(c, c0_inv))) for n, c in other._terms[1:]]
         rem = {n: c for n, c in a if n < stop}
         heap = list(rem)  # ascending, so already a heap
         digits = []
         while heap:
             n = heappop(heap)
             c = rem.pop(n)
-            if not any(c.coords):
+            if not c:
                 continue
-            digits.append((n - w, c * c0_inv))
+            digits.append((n - w, mul(c, c0_inv)))
             for m, t in tail:
                 key = n + m
                 if key >= stop:
                     break  # tail ascends: the rest lands past the precision
                 if key in rem:
-                    rem[key] = rem[key] + c * t
+                    rem[key] = add(rem[key], mul(c, t))
                 else:
-                    rem[key] = c * t
+                    rem[key] = mul(c, t)
                     heappush(heap, key)
-        return PerfSeries._make(fld, tuple(digits), qprec)
+        return PerfSeries._make(fld, digits, qprec)
 
     def inv(self, prec=None):
         """Multiplicative inverse, carrying precision prec_a - 2*val_a.
@@ -681,7 +760,8 @@ class PerfSeries:
         infinite expansion, which is truncated at the field's default
         relative precision unless an explicit absolute ``prec`` is given.
         """
-        return PerfSeries._make(self.field, ((0, self.field.one()),), None).div(self, prec)
+        fld = self.field
+        return PerfSeries._make(fld, [(0, fld._encode(fld.one()))], None).div(self, prec)
 
     def frobenius(self, e):
         """Raise to the q^e-th power (q-th roots for negative e)."""
@@ -689,17 +769,16 @@ class PerfSeries:
             return self
         fld = self.field
         qe = fld.q ** abs(e)
-        shift = e * fld.v
+        frob = fld._ops.frob(e * fld.v)
+        terms = self._terms if frob is None else [(n, frob(c)) for n, c in self._terms]
         prec = self._prec
         if e > 0:
-            terms = tuple((n * qe, c.pow_p(shift)) for n, c in self._terms)
-            return PerfSeries._make(fld, terms, None if prec is None else prec * qe)
+            return PerfSeries._make(fld, [(n * qe, c) for n, c in terms], None if prec is None else prec * qe)
         # a root stays on the grid exactly when q^-e divides every stored exponent
-        for n in ([] if prec is None else [prec]) + [n for n, _ in self._terms]:
+        for n in ([] if prec is None else [prec]) + [n for n, _ in terms]:
             if n % qe:
                 _scaled(fld, Fraction(n, fld._scale * qe))  # raises
-        terms = tuple((n // qe, c.pow_p(shift)) for n, c in self._terms)
-        return PerfSeries._make(fld, terms, None if prec is None else prec // qe)
+        return PerfSeries._make(fld, [(n // qe, c) for n, c in terms], None if prec is None else prec // qe)
 
     def root_q(self):
         return self.frobenius(-1)
@@ -713,7 +792,7 @@ class PerfSeries:
             return self
         n = _scaled(self.field, prec)
         return PerfSeries._make(
-            self.field, tuple(t for t in self._terms if t[0] < n), n
+            self.field, [t for t in self._terms if t[0] < n], n
         )
 
     # -- comparison -----------------------------------------------------------
@@ -727,7 +806,7 @@ class PerfSeries:
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.modulus, self._terms, self._prec))
+        return hash((self.field.p, self.field.modulus, tuple(self._terms), self._prec))
 
     def __repr__(self):
         body = " + ".join(f"{c!r}*x^{e}" for e, c in self.terms) or "0"
@@ -737,13 +816,12 @@ class PerfSeries:
 
 def _nonzero_sorted(acc):
     """The items of acc (n -> c) with c nonzero, by ascending n."""
-    return tuple((n, c) for n, c in sorted(acc.items()) if any(c.coords))
+    return [(n, c) for n, c in sorted(acc.items()) if c]
 
 
 def valuation(a):
     """Leading exponent; for a series with no known terms the result is the
     precision bound and is flagged as a lower bound rather than exact."""
-    lead = a.leading()
-    if lead is not None:
-        return Valuation(lead[0], True)
+    if a._terms:  # read the exponent alone: leading() would decode the coefficient
+        return Valuation(Fraction(a._terms[0][0], a.field._scale), True)
     return Valuation(a.prec, False)

@@ -52,8 +52,10 @@ coefficient solves the additive equation
 
 handled by a Newton-polygon analysis over the value group Z[1/p], a
 residue-field solve, and a Hensel fixed-point lift w <- (rhs + beta w^q)
-/ alpha whose error contracts as e -> (beta/alpha) e^q.  Each step divides
-by the binomial alpha exactly (``PerfSeries.div``); 1/alpha is never formed.
+/ alpha whose error contracts as e -> (beta/alpha) e^q; the lift runs at
+most the number of iterations that contraction needs to reach the working
+precision.  Each step divides by the binomial alpha exactly
+(``PerfSeries.div``); 1/alpha is never formed.
 """
 
 from __future__ import annotations
@@ -335,6 +337,19 @@ def _residue_root(fld, on_line, r0, a0, b0, q):
     return least_factor_degree(coeffs)
 
 
+def _hensel_bound(v_e, v_alpha, v_beta, q, stop):
+    """Iterations until the residual, of valuation v(alpha) + v(e), reaches
+    stop when the error contracts as v(e') = v(beta) - v(alpha) + q v(e);
+    0 when it does not contract, so no iteration converges."""
+    count = 0
+    while v_alpha + v_e < stop:
+        nxt = v_beta - v_alpha + q * v_e
+        if nxt <= v_e:
+            return 0
+        v_e, count = nxt, count + 1
+    return count
+
+
 def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
     """The small solution of alpha w - beta w^q = rhs with v(w) >= 0,
     Hensel-lifted to x-adic precision wprec; errors name the Riccati step l."""
@@ -363,6 +378,7 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
     a0 = alpha.leading()[1]
     b0 = beta.leading()[1]
     needed_degree = None
+    bounds = []  # the Hensel bound of every root tried
     for mu, on_line in candidates:
         if mu < 0 or den_exp(mu, fld.p) is None:
             continue
@@ -375,7 +391,8 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
         res = rhs - (alpha * w - bwq)
         res_vals = [valuation(res).value]
         converged = res.is_zero() or res_vals[-1] >= stop
-        for _ in range(64):
+        bounds.append(0 if converged else _hensel_bound(res_vals[0] - v_alpha, v_alpha, v_beta, q, stop))
+        for _ in range(bounds[-1]):
             if converged:
                 break
             w = (rhs + bwq).div(alpha, prec=stop - 2 * v_alpha + 1)
@@ -395,9 +412,10 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
             needed_degree,
             f"Riccati step l = {l} (a_{l + 1}): residue equation has no root in the scalar field",
         )
+    within = f" within the Hensel bound ({', '.join(map(str, bounds))} iterations)" if bounds else ""
     raise NonConvergent(
         f"Riccati step l = {l} (a_{l + 1}): no contracting root with non-negative "
-        "valuation; the equation falls outside the certified parameter range"
+        f"valuation{within}; the equation falls outside the certified parameter range"
     )
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fqlin import (
     DivisionByZero,
     FieldConfig,
+    FieldElem,
     INF,
     KernelError,
     PerfSeries,
@@ -26,7 +27,7 @@ from fqlin import (
 from fqlin.jsonio import decode_exp, encode_exp
 from fqlin.textio import parse_series
 
-from conftest import F2, F3, F4, F8, F9, SMALL_FIELDS, elems, exponents, perf_series
+from conftest import F2, F3, F4, F4_OVER_F2, F8, F9, SMALL_FIELDS, elems, exponents, perf_series
 
 
 def oracle_mul(cfg, a_coords, b_coords):
@@ -146,6 +147,68 @@ def test_elements_enumeration_and_subfield():
     sub = [e for e in big.elements() if e.pow_q(1) == e]
     assert len(sub) == 2  # F_2 inside F_4
     assert all(e * e == e for e in sub)
+
+
+# -- coded coefficients against the coordinate arithmetic of FieldElem --------
+#
+# Inside a series a coefficient is an int code with its own arithmetic
+# (FieldConfig._ops): residues mod p and log/Zech tables up to order 2^16.
+# Above, it is the FieldElem itself.  FieldElem is the oracle here.
+
+F2_16 = FieldConfig(p=2, v=16)  # the largest table field
+F7_8 = FieldConfig(p=7, v=8)  # above the cut-off: FieldElem coefficients
+PRIMES_TO_81 = [p for p in range(2, 82) if all(p % d for d in range(2, p))]
+CODED_FIELDS = [FieldConfig(p=p, v=v) for p in PRIMES_TO_81 for v in range(1, 7) if p**v <= 81]
+CODED_FIELDS += [F4_OVER_F2, FieldConfig(p=3, v=2, modulus=(2, 1, 1)), F2_16, F7_8]
+
+
+def test_codes_round_trip_on_small_fields():
+    for cfg in CODED_FIELDS[:-2]:
+        codes = [cfg._encode(e) for e in cfg.elements()]
+        assert sorted(codes) == list(range(cfg.order))
+        assert all(cfg._decode(c) == e for c, e in zip(codes, cfg.elements()))
+        assert cfg._encode(cfg.zero()) == 0 and cfg._encode(cfg.one()) == 1
+
+
+@pytest.mark.parametrize("cfg", CODED_FIELDS, ids=lambda cfg: f"F{cfg.p}^{cfg.degree}")
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_code_ops_match_coordinate_arithmetic(cfg, data):
+    a, b = data.draw(elems(cfg)), data.draw(elems(cfg))
+    ops, enc = cfg._ops, cfg._encode
+    ca, cb = enc(a), enc(b)
+    assert cfg._decode(ca) == a and bool(ca) == bool(a)
+    assert 0 <= ca < cfg.order if cfg._coded else ca is a
+    assert ops.add(ca, cb) == enc(a + b)
+    assert ops.neg(ca) == enc(-a)
+    assert ops.mul(ca, cb) == enc(a * b)
+    if ca:
+        assert ops.inv(ca) == enc(a.inverse())
+    for k in range(-1, cfg.degree + 1):
+        frob = ops.frob(k)
+        assert (ca if frob is None else frob(ca)) == enc(a.pow_p(k))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_series_coefficients_leave_as_field_elements(data):
+    cfg = data.draw(st.sampled_from([F2, F3, F4, F9, F2_16, F7_8]))
+    pairs = data.draw(st.lists(st.tuples(exponents(cfg, depth=1), elems(cfg)), max_size=5))
+    a = PerfSeries(cfg, pairs)
+    ref = {}
+    for e, c in pairs:
+        ref[e] = ref[e] + c if e in ref else c
+    want = tuple((e, ref[e]) for e in sorted(ref) if not ref[e].is_zero())
+    assert a.terms == want
+    assert all(type(c) is FieldElem and c.field is cfg for _, c in a.terms)
+    assert a.leading() == (want[0] if want else None)
+    assert all(a.coeff(e) == c for e, c in ref.items())
+    # the same value with the terms reversed and one coefficient split in two
+    extra = data.draw(elems(cfg))
+    split = [(e, c - extra) for e, c in pairs[:1]] + [(e, extra) for e, _ in pairs[:1]]
+    b = PerfSeries(cfg, pairs[:0:-1] + split)
+    assert a == b and hash(a) == hash(b)
+    assert b.terms == want
 
 
 # -- perfected exponents ----------------------------------------------------

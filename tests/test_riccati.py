@@ -29,6 +29,7 @@ from fqlin import (
 
 from conftest import F2, F3, F4, F4_OVER_F2, elems
 from fqlin import FieldConfig
+from fqlin.solvers import _hensel_bound
 
 F9_OVER_F3 = FieldConfig(p=3, s=2)
 
@@ -211,6 +212,33 @@ def test_hensel_trace_strictly_increases():
     assert saw_iterations
 
 
+def test_hensel_bound_counts_the_contraction():
+    fr = Fraction
+    # q = 2, v(alpha) = v(beta) = 1/4, v(e) = 1: v(e) runs 1, 2, 4, 8, so the
+    # residual v(alpha) + v(e) passes 8 on the third iteration
+    assert _hensel_bound(fr(1), fr(1, 4), fr(1, 4), 2, fr(8)) == 3
+    assert _hensel_bound(fr(1), fr(1, 4), fr(1, 4), 2, fr(5, 4)) == 0
+    # v(beta) - v(alpha) + (q - 1) v(e) <= 0: the error never shrinks
+    assert _hensel_bound(fr(1, 8), fr(1), fr(0), 2, fr(8)) == 0
+
+
+def test_hensel_iterations_stay_within_the_bound():
+    lam = PerfSeries.x_pow(F2, Fraction(1, 4))
+    r = {0: PerfSeries.x_pow(F2, Fraction(1, 2)), 1: PerfSeries.x_pow(F2, 1)}
+    xprec, trace = Fraction(12), []
+    c, _ = solve_riccati(RiccatiProblem(lam, r=r), 4, xprec=xprec, trace=trace)
+    q, wprec, v_alpha = F2.q, xprec + 4, Fraction(1, F2.q**2)
+    counts = []
+    for entry in trace:
+        v_beta = valuation(lam).value + q ** (entry["l"] + 1) * valuation(c).value
+        stop = max(wprec + v_alpha, q * wprec + v_beta)
+        for step in entry["steps"]:
+            vals = step["residuals"]
+            if vals[0] < stop:
+                counts.append((len(vals) - 1, _hensel_bound(vals[0] - v_alpha, v_alpha, v_beta, q, stop)))
+    assert counts and all(0 < done <= bound for done, bound in counts)
+
+
 def test_hensel_iteration_count_small():
     lam = PerfSeries.x_pow(F3, Fraction(1, 9))
     prob = RiccatiProblem(lam, r={0: PerfSeries.x_pow(F3, Fraction(1, 9))})
@@ -236,7 +264,8 @@ def test_multi_term_lambda():
 def test_out_of_range_lambda_not_convergent():
     lam = PerfSeries.x_pow(F2, 1)  # valuation 1 > 1/4: admissible type,
     prob = RiccatiProblem(lam, r={0: PerfSeries.x_pow(F2, Fraction(1, 4))})
-    with pytest.raises(NonConvergent, match=r"step l = 0 \(a_1\)"):  # but outside the certified range
+    # but outside the certified range: the root does not contract, so its Hensel bound is 0
+    with pytest.raises(NonConvergent, match=r"step l = 0 \(a_1\).* within the Hensel bound \(0 iterations\)"):
         solve_riccati(prob, 3, xprec=Fraction(8))
 
 
