@@ -45,22 +45,12 @@ def tau_power(u, j):
 
 def carlitz_delta(u):
     """u(x t) - x u(t); multiplies the k-th coefficient by [k]."""
-    x = PerfSeries.x_pow(u.field, 1)
-    terms = {}
-    for k, c in u.terms.items():
-        xqk = PerfSeries.x_pow(u.field, Fraction(u.field.q) ** k)
-        terms[k] = (xqk - x) * c
+    terms = {k: bracket(u.field, k) * c for k, c in u.terms.items()}
     return CompSeries(u.field, terms, u.order)
 
 
 def carlitz_d(u):
     """q-th root of the difference operator; drops the order by one."""
-    x = PerfSeries.x_pow(u.field, 1)
-    terms = {}
-    for k, c in u.terms.items():
-        if k == 0:
-            continue
-        xqk = PerfSeries.x_pow(u.field, Fraction(u.field.q) ** k)
-        terms[k - 1] = ((xqk - x) * c).root_q()
+    terms = {k - 1: (bracket(u.field, k) * c).root_q() for k, c in u.terms.items() if k != 0}
     order = u.order if is_inf(u.order) else max(u.order - 1, -1)
     return CompSeries(u.field, terms, order)

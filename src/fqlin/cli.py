@@ -281,7 +281,7 @@ def _load_doc(args):
             return json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read input document: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past int()'s digit limit
         raise ValidationError(f"input document is not valid JSON: {exc}")
 
 

@@ -22,7 +22,7 @@ from .errors import ValidationError
 from .fields import FieldConfig, PerfSeries, den_exp, is_inf
 from .series import CompSeries
 from .solvers import ImplicitProblem, OdeProblem, RiccatiProblem
-from .textio import parse_comp_series, parse_perf_series
+from .textio import parse_comp_series, parse_perf_series, parse_series
 
 
 def _require(cond, message):
@@ -32,6 +32,11 @@ def _require(cond, message):
 
 def _int(value, what):
     _require(isinstance(value, int) and not isinstance(value, bool), f"{what} must be an integer")
+    return value
+
+
+def _array(value, what):
+    _require(isinstance(value, list), f"{what} must be an array")
     return value
 
 
@@ -81,10 +86,11 @@ def encode_perf(a):
 def decode_perf(field, doc):
     _require(isinstance(doc, dict), "series must be an object")
     terms = []
-    for item in doc.get("terms", []):
+    for item in _array(doc.get("terms", []), "series terms"):
         _require(isinstance(item, dict), "series term must be an object")
         coords = item.get("c")
         _require(isinstance(coords, list), "coefficient must be a coordinate array")
+        coords = [_int(c, "coordinate") for c in coords]
         terms.append((decode_exp(item.get("e"), field.p), field.elem(coords)))
     prec = doc.get("prec")
     if prec is None:
@@ -103,7 +109,7 @@ def encode_comp(u):
 def decode_comp(field, doc):
     _require(isinstance(doc, dict), "composition series must be an object")
     terms = {}
-    for item in doc.get("terms", []):
+    for item in _array(doc.get("terms", []), "composition terms"):
         _require(isinstance(item, dict), "composition term must be an object")
         terms[_int(item.get("k"), "k")] = decode_perf(field, item.get("coef"))
     order = doc.get("N", None)
@@ -129,11 +135,10 @@ def series_value(field, value):
     """Auto-detecting decode: documents carry an "N" key exactly when they
     are composition series; strings are detected by the token ``t``."""
     if isinstance(value, str):
-        from .textio import parse_series
-
         return parse_series(field, value)
     _require(isinstance(value, dict), "series value must be a string or object")
-    if "N" in value or any("k" in item for item in value.get("terms", []) if isinstance(item, dict)):
+    terms = value.get("terms", [])
+    if "N" in value or (isinstance(terms, list) and any(isinstance(t, dict) and "k" in t for t in terms)):
         return decode_comp(field, value)
     return decode_perf(field, value)
 
@@ -187,7 +192,8 @@ def decode_riccati(field, doc):
 
     def keyed(name):
         out = {}
-        for item in doc.get(name) or []:
+        items = doc.get(name)
+        for item in [] if items is None else _array(items, name):
             _require(isinstance(item, dict), f"{name} entry must be an object")
             out[_int(item.get("k"), "k")] = perf_value(field, item.get("coef"))
         return out

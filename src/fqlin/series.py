@@ -183,7 +183,7 @@ class CompSeries:
             self.order,
         )
 
-    def eval_at(self, t0, cert=None, term_log=None):
+    def eval_at(self, t0, cert=None):
         """Evaluate at a scalar point inside the convergence domain.
 
         The result precision accounts both for coefficient x-precision and,
@@ -204,10 +204,7 @@ class CompSeries:
             )
         total = PerfSeries.zero(self.field)
         for k, c_k in self.terms.items():
-            term = c_k * t0.frobenius(k)
-            if term_log is not None:
-                term_log.append((k, valuation(term).value))
-            total = total + term
+            total = total + c_k * t0.frobenius(k)
         if not is_inf(self.order):
             q = self.field.q
             tail = (vt0.value - cert.kappa) * q ** (self.order + 1)

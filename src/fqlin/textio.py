@@ -2,18 +2,18 @@
 
 Canonical form examples: ``x^{1/2}*t^[q^-1]``, ``(1+g)*x^2*t``,
 ``x + x^2 + O(x^33)``, ``t^[q^1] + O(t^[q^5])``.  The parser accepts a
-whitespace-insensitive superset (signs, parenthesized scalars, unbraced
-integer exponents) and round-trips everything the emitters produce.
+whitespace-insensitive superset (signs, parenthesized scalars such as
+``(1+x)*x^2*t``, unbraced integer exponents) and round-trips everything
+the emitters produce.
 
 Grammar (EBNF, whitespace between tokens ignored):
 
     comp_series  = [ sign ] cterm { sign cterm } ;
     cterm        = "O" "(" tmono ")"                  (* unknown from here *)
                  | tmono
-                 | scalar_factor "*" tmono
+                 | satom "*" tmono
                  | "0" ;                              (* exact zero series *)
     tmono        = "t" [ "^" "[" "q" "^" integer "]" ] ;
-    scalar_factor= "(" scalar ")" | satom ;
 
     scalar       = [ sign ] sterm { sign sterm } ;
     sterm        = "O" "(" xmono ")"                  (* precision bound *)
@@ -27,14 +27,17 @@ Grammar (EBNF, whitespace between tokens ignored):
     exponent     = integer | "{" integer [ "/" integer ] "}" ;
     sign         = "+" | "-" ;
     integer      = [ "-" ] digit { digit } ;
+    digit        = "0" | "1" | ... | "9" ;            (* ASCII only *)
 
 A composition order marker O(t^[q^M]) states that indices >= M are not
 accounted for, matching a series order of M - 1; a scalar marker O(x^e)
-is the usual x-adic precision bound.
+is the usual x-adic precision bound.  Any other character, and a literal
+longer than int() converts, is a ParseError at its position.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
@@ -77,16 +80,12 @@ def _emit_elem(c):
     return "+".join(parts) if parts else "0"
 
 
-def _elem_is_one(c):
-    return c == c.field.one()
-
-
 def _emit_scalar_term(e, c):
     elem_str = _emit_elem(c)
     if e == 0:
         return elem_str
     xpart = _emit_exp(e)
-    if _elem_is_one(c):
+    if c == c.field.one():
         return xpart
     if "+" in elem_str:
         return f"({elem_str})*{xpart}"
@@ -117,12 +116,7 @@ def emit_comp_series(u):
     for k in sorted(u.terms):
         coef = u.terms[k]
         tpart = _emit_tmono(k)
-        if (
-            is_inf(coef.prec)
-            and len(coef.terms) == 1
-            and coef.terms[0][0] == 0
-            and _elem_is_one(coef.terms[0][1])
-        ):
+        if coef == PerfSeries.one(u.field):
             parts.append(tpart)
             continue
         coef_str = emit_perf_series(coef)
@@ -148,44 +142,34 @@ def emit_series(obj):
 # ---------------------------------------------------------------------------
 # tokenizer
 
-
-_SYMBOLS = set("+-*/^()[]{}")
-_NAMES = set("txgqO")
+_TOKEN = re.compile(
+    r"(?P<INT>[0-9]+)|(?P<NAME>[txgqO])|(?P<SYM>[-+*/^()\[\]{}])|(?P<SPACE>\s+)|(?P<BAD>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(text):
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "SPACE":
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", int(text[i:j]), i))
-            i = j
-            continue
-        if ch in _NAMES:
-            tokens.append(("NAME", ch, i))
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(("SYM", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("END", None, n))
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if kind == "INT":
+            try:
+                value = int(value)
+            except ValueError:  # past int()'s limit on decimal digits
+                raise ParseError(f"integer literal of {len(value)} digits is too long", pos) from None
+        tokens.append((kind, value, pos))
+    tokens.append(("END", None, len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, field, text):
+    def __init__(self, field, tokens):
         self.field = field
-        self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokens
         self.pos = 0
 
     # -- token plumbing --
@@ -212,6 +196,9 @@ class _Parser:
     def at(self, kind, value=None, ahead=0):
         tok = self.peek(ahead)
         return tok[0] == kind and (value is None or tok[1] == value)
+
+    def at_sign(self):
+        return self.at("SYM", "+") or self.at("SYM", "-")
 
     # -- shared pieces --
 
@@ -247,6 +234,13 @@ class _Parser:
             return self.exponent()
         return Fraction(1)
 
+    def times_x(self):
+        """An optional "*" xmono after a factor: its exponent, or 0."""
+        if self.at("SYM", "*") and self.at("NAME", "x", ahead=1):
+            self.advance()
+            return self.xmono()
+        return Fraction(0)
+
     def gatom(self):
         if self.at("INT"):
             return self.field.elem(self.advance()[1])
@@ -269,65 +263,45 @@ class _Parser:
             value = value * self.gatom()
         return value
 
-    # -- scalar series --
-
-    def satom(self):
-        """One scalar product: returns (elem-or-series, exponent)."""
-        if self.at("SYM", "("):
-            self.advance()
-            inner = self.scalar_sum(stop=")")
-            self.expect("SYM", ")")
-            exp = Fraction(0)
-            if self.at("SYM", "*") and self.at("NAME", "x", ahead=1):
-                self.advance()
-                exp = self.xmono()
-            return inner.shift_x(exp), None
-        if self.at("NAME", "x"):
-            return self.field.one(), self.xmono()
-        value = self.elem()
-        if self.at("SYM", "*") and self.at("NAME", "x", ahead=1):
-            self.advance()
-            return value, self.xmono()
-        return value, Fraction(0)
-
-    def scalar_sum(self, stop=None):
-        total = PerfSeries.zero(self.field)
-        prec = INF
-        first = True
+    def signed_sum(self, term, marker):
+        """[ sign ] item { sign item }, an item being "O" "(" marker ")" or a
+        term: the (negated, term) pairs and the marker values, in order.
+        ``term`` is given the pairs read so far."""
+        items, bounds = [], []
         while True:
-            sign = 1
-            if self.at("SYM", "+") or self.at("SYM", "-"):
-                if first and self.at("SYM", "-"):
-                    sign = -1
-                    self.advance()
-                elif not first:
-                    if self.advance()[1] == "-":
-                        sign = -1
-                else:
-                    self.advance()
-            elif not first:
-                break
-            first = False
+            neg = self.at_sign() and self.advance()[1] == "-"
             if self.at("NAME", "O"):
                 self.advance()
                 self.expect("SYM", "(")
-                e = self.xmono()
+                bounds.append(marker())
                 self.expect("SYM", ")")
-                prec = min(prec, e)
-                continue
-            value, exp = self.satom()
-            if exp is None:  # parenthesized sub-series
-                term = value
             else:
-                term = PerfSeries(self.field, [(exp, value)])
-            if sign < 0:
-                term = -term
-            total = total + term
-            if stop is not None and self.at("SYM", stop):
-                break
-            if not (self.at("SYM", "+") or self.at("SYM", "-")):
-                break
-        return total.truncate(prec) if not is_inf(prec) else total
+                items.append((neg, term(items)))
+            if not self.at_sign():
+                return items, bounds
+
+    # -- scalar series --
+
+    def satom(self):
+        """One scalar product, as a series: each term is built, and so its
+        exponent checked, where it is read."""
+        if self.at("SYM", "("):
+            self.advance()
+            inner = self.scalar_sum()
+            self.expect("SYM", ")")
+            return inner.shift_x(self.times_x())
+        if self.at("NAME", "x"):
+            return PerfSeries(self.field, [(self.xmono(), self.field.one())])
+        value = self.elem()
+        return PerfSeries(self.field, [(self.times_x(), value)])
+
+    def scalar_sum(self):
+        items, bounds = self.signed_sum(lambda _: self.satom(), self.xmono)
+        pairs = []
+        for neg, term in items:
+            pairs += (-term if neg else term).terms
+            bounds.append(term.prec)
+        return PerfSeries(self.field, pairs, min(bounds, default=INF))
 
     # -- composition series --
 
@@ -343,54 +317,27 @@ class _Parser:
             return k
         return 0
 
+    def cterm(self, items):
+        """A (k, coefficient) pair, or None for "0", the exact zero series,
+        when it is the last token and no term precedes it."""
+        if self.at("NAME", "t"):
+            return self.tmono(), PerfSeries.one(self.field)
+        if self.at("INT", 0) and self.at("END", ahead=1) and not items:
+            self.advance()
+            return None
+        coef = self.satom()
+        self.expect("SYM", "*", expected="'*' before t")
+        return self.tmono(), coef
+
     def comp_sum(self):
+        items, bounds = self.signed_sum(self.cterm, lambda: self.tmono() - 1)
         terms = {}
-        order = INF
-        first = True
-        while True:
-            sign = 1
-            if self.at("SYM", "+") or self.at("SYM", "-"):
-                tok = self.advance()
-                if tok[1] == "-":
-                    sign = -1
-                if first and tok[1] == "+":
-                    sign = 1
-            elif not first:
-                break
-            first = False
-            if self.at("NAME", "O"):
-                self.advance()
-                self.expect("SYM", "(")
-                m = self.tmono()
-                self.expect("SYM", ")")
-                order = min(order, m - 1)
-                continue
-            if self.at("NAME", "t"):
-                k = self.tmono()
-                coef = PerfSeries.one(self.field)
-            elif self.at("INT", 0) and self.at("END", ahead=1) and not terms:
-                self.advance()
-                continue  # "0": the exact zero series
-            else:
-                if self.at("SYM", "("):
-                    self.advance()
-                    coef = self.scalar_sum(stop=")")
-                    self.expect("SYM", ")")
-                else:
-                    value, exp = self.satom()
-                    coef = (
-                        value
-                        if exp is None
-                        else PerfSeries(self.field, [(exp, value)])
-                    )
-                self.expect("SYM", "*", expected="'*' before t")
-                k = self.tmono()
-            if sign < 0:
-                coef = -coef
-            terms[k] = terms.get(k, PerfSeries.zero(self.field)) + coef
-            if not (self.at("SYM", "+") or self.at("SYM", "-")):
-                break
-        return CompSeries(self.field, terms, order)
+        for neg, item in items:
+            if item is not None:
+                k, coef = item
+                coef = -coef if neg else coef
+                terms[k] = terms[k] + coef if k in terms else coef
+        return CompSeries(self.field, terms, min(bounds, default=INF))
 
     def finish(self):
         tok = self.peek()
@@ -398,25 +345,25 @@ class _Parser:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2], "end of input")
 
 
-def parse_perf_series(field, text):
-    """Parse a scalar series in the grammar above."""
-    parser = _Parser(field, text)
-    result = parser.scalar_sum()
+def _parse(field, tokens, rule):
+    parser = _Parser(field, tokens)
+    result = rule(parser)
     parser.finish()
     return result
+
+
+def parse_perf_series(field, text):
+    """Parse a scalar series in the grammar above."""
+    return _parse(field, _tokenize(text), _Parser.scalar_sum)
 
 
 def parse_comp_series(field, text):
     """Parse a composition series in the grammar above."""
-    parser = _Parser(field, text)
-    result = parser.comp_sum()
-    parser.finish()
-    return result
+    return _parse(field, _tokenize(text), _Parser.comp_sum)
 
 
 def parse_series(field, text):
     """Parse either kind of series, decided by the presence of 't'."""
-    for kind, value, _ in _tokenize(text):
-        if kind == "NAME" and value == "t":
-            return parse_comp_series(field, text)
-    return parse_perf_series(field, text)
+    tokens = _tokenize(text)
+    comp = any(tok[:2] == ("NAME", "t") for tok in tokens)
+    return _parse(field, tokens, _Parser.comp_sum if comp else _Parser.scalar_sum)

@@ -227,6 +227,33 @@ def test_validation_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 2
         assert "--order" in capsys.readouterr().err
+    # malformed documents: one error line on stderr, never exit 1 or 0
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"field": {"p": ' + "1" * 5000 + "}}", encoding="utf-8")
+
+    def certify(name, coef):
+        u = {"N": None, "terms": [{"k": 0, "coef": coef}]}
+        return ["certify", "-i", write_doc(tmp_path, name, {"field": {"p": 2}, "u": u})]
+
+    def coordinate(name, c):
+        return certify(name, {"prec": None, "terms": [{"e": {"num": 1, "den_exp": 0}, "c": [c]}]})
+
+    ric = {"field": {"p": 2}, "lam": "x^{1/4}"}
+    for argv in (
+        ["certify", "-i", str(huge)],
+        ["certify", "-i", write_doc(tmp_path, "c.json", {"field": {"p": 2}, "u": {"N": None, "terms": 5}})],
+        certify("s.json", {"prec": None, "terms": 5}),
+        ["add", "-i", write_doc(tmp_path, "a.json", {"field": {"p": 2}, "a": {"terms": 5}, "b": "t"})],
+        ["solve-riccati", "-i", write_doc(tmp_path, "rp.json", {**ric, "p": 5}), "--order", "2"],
+        ["solve-riccati", "-i", write_doc(tmp_path, "rr.json", {**ric, "r": 5}), "--order", "2"],
+        coordinate("str.json", "a"),
+        coordinate("float.json", 1.5),
+        coordinate("bool.json", True),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_precondition_exit_code(tmp_path):

@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fqlin import INF, CompSeries, PerfSeries
-from fqlin.errors import ParseError
+from fqlin.errors import KernelError, ParseError
 from fqlin.textio import (
     emit_comp_series,
     emit_perf_series,
@@ -17,7 +17,7 @@ from fqlin.textio import (
     parse_series,
 )
 
-from conftest import F2, F3, F4_OVER_F2, SMALL_FIELDS, exponents, perf_series
+from conftest import F2, F3, F4, F4_OVER_F2, SMALL_FIELDS, exponents, perf_series
 
 
 def comp_series(cfg, max_terms=3, index_range=(-2, 3), exact=True):
@@ -84,6 +84,11 @@ def test_parse_coefficient_with_precision_tag():
     c = u.coeff(1)
     assert c.prec == Fraction(4)
     assert c.coeff(Fraction(1)) == F2.one()
+
+
+def test_parenthesized_coefficient_times_x_before_t():
+    assert parse_comp_series(F2, "(1+x)*x*t") == parse_comp_series(F2, "(x + x^2)*t")
+    assert parse_series(F3, "(1-x)*x^{1/3}*t^[q^1]") == parse_series(F3, "(x^{1/3} - x^{4/3})*t^[q^1]")
 
 
 def test_whitespace_insensitive():
@@ -182,6 +187,32 @@ def test_parse_error_expected_hint():
     with pytest.raises(ParseError) as info:
         parse_comp_series(F2, "t^[q^")
     assert info.value.expected is not None
+
+
+@pytest.mark.parametrize(
+    "text", ["x^\u00b2", "x^\u0663", "x^" + "7" * 5000], ids=["superscript", "arabic-indic", "overlong"]
+)
+def test_parse_rejects_non_ascii_digits_and_overlong_literals(text):
+    with pytest.raises(ParseError) as info:
+        parse_series(F2, text)
+    assert info.value.position == 2
+
+
+GRAMMAR_PIECES = list("txgqO0123456789+-*/^()[]{} ") + ["\u00b2", "\u0663", "7" * 5000]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=12),
+    cfg=st.sampled_from([F2, F3, F4, F4_OVER_F2]),
+)
+@example(pieces=["x", "^", "\u00b2"], cfg=F2)
+@example(pieces=["7" * 5000], cfg=F3)
+def test_parse_series_raises_only_kernel_errors(pieces, cfg):
+    try:
+        parse_series(cfg, "".join(pieces))
+    except KernelError:
+        pass
 
 
 def test_parse_rejects_malformed():
