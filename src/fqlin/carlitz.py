@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import PerfSeries, is_inf
+from .fields import PerfSeries
 from .series import CompSeries
 
 
@@ -37,9 +37,8 @@ def tau_power(u, j):
     """t^{q^j} o u; negative j applies the formal q^{|j|}-th root twist."""
     if j == 0:
         return u
-    order = u.order if is_inf(u.order) else u.order + j
     return CompSeries(
-        u.field, {k + j: c.frobenius(j) for k, c in u.terms.items()}, order
+        u.field, {k + j: c.frobenius(j) for k, c in u.terms.items()}, u.order + j
     )
 
 
@@ -52,5 +51,4 @@ def carlitz_delta(u):
 def carlitz_d(u):
     """q-th root of the difference operator; drops the order by one."""
     terms = {k - 1: (bracket(u.field, k) * c).root_q() for k, c in u.terms.items() if k != 0}
-    order = u.order if is_inf(u.order) else max(u.order - 1, -1)
-    return CompSeries(u.field, terms, order)
+    return CompSeries(u.field, terms, max(u.order - 1, -1))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .carlitz import bracket, carlitz_d, carlitz_delta, tau_power
 from .errors import KernelError, ResidualCheckFailed, ValidationError
-from .fields import FieldConfig
+from .fields import INF, MAX_PERF_DEPTH, FieldConfig
 from .jsonio import (
     build_manifest,
     canonical_dumps,
@@ -110,13 +110,13 @@ def _fraction_normalize(call, denom, numer):
 
 
 def _first_nonzero_index(res):
-    """Least index whose coefficient is certifiably nonzero, or None.
+    """Least index whose coefficient is certifiably nonzero, INF if none is.
 
     Residuals keep zero-modulo-precision coefficients, so a stored term does
     not by itself witness failure; only a coefficient with a certain digit
     does."""
     bad = [k for k, c in res.terms.items() if not c.is_zero()]
-    return min(bad) if bad else None
+    return min(bad, default=INF)
 
 
 def _checked(call, prob, candidate, result):
@@ -125,7 +125,7 @@ def _checked(call, prob, candidate, result):
     call.extra["check"] = call.args.check
     if call.args.check:
         bad = _first_nonzero_index(residual(prob, candidate, call.args.order))
-        if bad is not None:
+        if bad != INF:
             raise ResidualCheckFailed(f"back-substituted residual is nonzero at index {bad}")
         result["check"] = {"residual_zero": True}
     return result
@@ -189,7 +189,7 @@ def _residual_check(call):
     call.inputs["candidate"] = encode_comp(candidate)
     call.extra["type"] = kind
     res = residual(prob, candidate, _required_order(call.args))
-    zero = _first_nonzero_index(res) is None
+    zero = _first_nonzero_index(res) == INF
     if not zero:
         call.code = ResidualCheckFailed.exit_code
     return {"residual": encode_comp(res), "text": emit_series(res), "zero": zero}
@@ -254,8 +254,8 @@ def build_parser():
     common.add_argument("--v", type=int, help="q = p^v")
     common.add_argument("--s", type=int, help="scalars live in F_{q^s}")
     common.add_argument("--mod", help="modulus coefficients over F_p, ascending, comma-separated")
-    common.add_argument("--perf-depth", type=int, help="cap exponent denominators at p^E")
-    common.add_argument("--order", type=non_negative_int, help="truncation order N")
+    common.add_argument("--perf-depth", type=int, help=f"cap exponent denominators at p^E, E <= {MAX_PERF_DEPTH}")
+    common.add_argument("--order", type=non_negative_int, default=INF, help="truncation order N")
     common.add_argument("--xprec", help="x-adic precision as num/den_exp, meaning num / p^den_exp")
     common.add_argument("--branch", choices=["zero", "nonzero"], help="Riccati constant-term branch")
     common.add_argument("--check", action="store_true", help="back-substitute and fail on nonzero residual")
@@ -304,7 +304,7 @@ def _resolve_field(args, doc):
 
 def _resolve_xprec(args, field):
     if args.xprec is None:
-        return None
+        return INF
     num, _, den = args.xprec.partition("/")
     try:
         exp = {"num": int(num), "den_exp": int(den or "0")}
@@ -325,7 +325,7 @@ def _raw(args, doc, name):
 
 
 def _required_order(args):
-    if args.order is None:
+    if args.order == INF:
         raise ValidationError("this command needs --order N")
     return args.order
 

@@ -7,7 +7,7 @@ On top of it sit perfected Laurent series: finite sums of monomials c*x^e
 whose exponents e live in Z[1/p] (denominators limited to p^E for a
 configurable depth E), together with an x-adic precision marker.  A series
 with precision ``prec`` is known exactly below x^prec and unknown from
-x^prec on; exactly known values carry the infinite sentinel.  All values
+x^prec on; an exactly known value has precision ``INF``.  All values
 are immutable after construction and all arithmetic is exact, so equal
 inputs always produce identical outputs.
 
@@ -36,7 +36,6 @@ q-th roots divide them by q and may hit the perfection depth cap.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
@@ -53,11 +52,25 @@ from .errors import (
     ValidationError,
 )
 
-INF = math.inf
+
+class _Unbounded(float):
+    """math.inf, except that INF + n, INF - n, INF * n, INF / n (n > 0),
+    n + INF and n * INF (n an int) and q ** INF are INF at once: float
+    arithmetic would first convert n, which overflows for a huge n."""
+
+    __slots__ = ()
+
+    def _absorb(self, other):
+        return self
+
+    __add__ = __radd__ = __sub__ = __mul__ = __rmul__ = __truediv__ = __rpow__ = _absorb
 
 
-def is_inf(value):
-    return isinstance(value, float) and math.isinf(value)
+INF = _Unbounded("inf")  # the one unbounded order, precision and minimum index
+# the x-adic precision of an exact value with infinitely many digits, such as
+# the inverse of 1 + x, relative to its valuation; and the cap on perf_depth
+DEFAULT_XPREC = Fraction(32)
+MAX_PERF_DEPTH = 1024
 
 
 def _is_prime(n):
@@ -167,9 +180,8 @@ class FieldConfig:
     ``modulus`` is the monic irreducible polynomial over F_p (ascending
     coefficients, degree v*s) presenting F_{q^s}; when omitted the
     lexicographically first monic irreducible of that degree is chosen.
-    ``perf_depth`` caps exponent denominators at p^E, ``default_xprec``
-    is the x-adic precision used when an exact value must be truncated
-    (for example when inverting a series with infinitely many digits).
+    ``perf_depth`` caps exponent denominators at p^E, E <= MAX_PERF_DEPTH
+    (default 8v).
     """
 
     p: int
@@ -177,13 +189,16 @@ class FieldConfig:
     s: int = 1
     modulus: tuple = None
     perf_depth: int = None
-    default_xprec: Fraction = Fraction(32)
 
     def __post_init__(self):
         if not _is_prime(self.p):
             raise ValidationError(f"p = {self.p} is not prime")
         if self.v < 1 or self.s < 1:
             raise ValidationError("v and s must be positive")
+        if self.perf_depth is None:
+            object.__setattr__(self, "perf_depth", 8 * self.v)
+        if not 0 <= self.perf_depth <= MAX_PERF_DEPTH:
+            raise ValidationError(f"perf_depth must be in 0..{MAX_PERF_DEPTH}, got {self.perf_depth}")
         degree = self.v * self.s
         if self.modulus is None:
             object.__setattr__(self, "modulus", _first_irreducible(self.p, degree))
@@ -196,11 +211,6 @@ class FieldConfig:
                 )
             if degree > 1 and not _is_irreducible(mod, FieldConfig(self.p)):
                 raise ValidationError(f"modulus {mod} is reducible over F_{self.p}")
-        if self.perf_depth is None:
-            object.__setattr__(self, "perf_depth", 8 * self.v)
-        elif self.perf_depth < 0:
-            raise ValidationError("perf_depth must be non-negative")
-        object.__setattr__(self, "default_xprec", Fraction(self.default_xprec))
         # tables kept on the instance, so no multiply hashes the dataclass:
         # the exponent scale p^perf_depth, the reduction rows, and the
         # Frobenius columns by k, filled on first use
@@ -517,11 +527,12 @@ class PerfSeries:
     None for exact.
     """
 
+    # _prec keeps None for exact: INF there cost 10-13% of riccati and recursion ops/s (int-float compares)
     __slots__ = ("field", "_terms", "_prec")
 
     def __init__(self, field, terms, prec=INF):
         scale = field._scale
-        iprec = None if is_inf(prec) else _scaled(field, prec)
+        iprec = None if prec == INF else _scaled(field, prec)
         merged = {}
         off_grid = {}  # exponents not n / p^perf_depth: an error unless dropped
         items = terms.items() if isinstance(terms, dict) else terms
@@ -687,7 +698,7 @@ class PerfSeries:
             self.field, [(n + shift, c) for n, c in self._terms], prec
         )
 
-    def div(self, other, prec=None):
+    def div(self, other, prec=INF):
         """The quotient self / other: the terms and precision of
         ``self * other.inv(prec)``, without forming the inverse.
 
@@ -708,13 +719,13 @@ class PerfSeries:
         # requested precision may lie off the exponent grid, which _scaled
         # reports once it is the limit
         limit = None if other._prec is None else Fraction(other._prec - 2 * w, scale)
-        if prec is not None and not is_inf(prec):
+        if prec is not None and prec != INF:
             limit = Fraction(prec) if limit is None else min(limit, Fraction(prec))
         ops = fld._ops
         if limit is None:
             if len(other._terms) == 1:
                 return self * PerfSeries._make(fld, [(-w, ops.inv(c0))], None)
-            limit = fld.default_xprec - Fraction(w, scale)
+            limit = DEFAULT_XPREC - Fraction(w, scale)
         if limit * scale <= -w:
             raise PrecisionExhausted(
                 "inverse would carry no known digits at the requested precision"
@@ -753,12 +764,12 @@ class PerfSeries:
                     heappush(heap, key)
         return PerfSeries._make(fld, digits, qprec)
 
-    def inv(self, prec=None):
+    def inv(self, prec=INF):
         """Multiplicative inverse, carrying precision prec_a - 2*val_a.
 
         Exact single monomials invert exactly.  Any other exact input has an
-        infinite expansion, which is truncated at the field's default
-        relative precision unless an explicit absolute ``prec`` is given.
+        infinite expansion, which is truncated at DEFAULT_XPREC relative to
+        its valuation unless an explicit absolute ``prec`` is given.
         """
         fld = self.field
         return PerfSeries._make(fld, [(0, fld._encode(fld.one()))], None).div(self, prec)
@@ -784,7 +795,7 @@ class PerfSeries:
         return self.frobenius(-1)
 
     def truncate(self, prec):
-        if prec is None or is_inf(prec):
+        if prec is None or prec == INF:
             return self
         prec = Fraction(prec)
         scale = self.field._scale

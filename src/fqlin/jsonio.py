@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 
 from .errors import ValidationError
-from .fields import FieldConfig, PerfSeries, den_exp, is_inf
+from .fields import INF, MAX_PERF_DEPTH, FieldConfig, PerfSeries, den_exp
 from .series import CompSeries
 from .solvers import ImplicitProblem, OdeProblem, RiccatiProblem
 from .textio import parse_comp_series, parse_perf_series, parse_series
@@ -51,7 +51,7 @@ def decode_exp(doc, p):
     """The exponent num / p^den_exp; the one place that builds it."""
     _require(isinstance(doc, dict), "exponent must be an object")
     exp = _int(doc.get("den_exp"), "den_exp")
-    _require(exp >= 0, f"den_exp must be non-negative, got {exp}")
+    _require(0 <= exp <= MAX_PERF_DEPTH, f"den_exp must be in 0..{MAX_PERF_DEPTH}, got {exp}")
     return Fraction(_int(doc.get("num"), "num"), p**exp)
 
 
@@ -76,9 +76,8 @@ def encode_elem(c):
 
 
 def encode_perf(a):
-    prec = None if is_inf(a.prec) else encode_exp(a.prec, a.field.p)
     return {
-        "prec": prec,
+        "prec": None if a.prec == INF else encode_exp(a.prec, a.field.p),
         "terms": [{"e": encode_exp(e, a.field.p), "c": encode_elem(c)} for e, c in a.terms],
     }
 
@@ -93,15 +92,12 @@ def decode_perf(field, doc):
         coords = [_int(c, "coordinate") for c in coords]
         terms.append((decode_exp(item.get("e"), field.p), field.elem(coords)))
     prec = doc.get("prec")
-    if prec is None:
-        return PerfSeries(field, terms)
-    return PerfSeries(field, terms, decode_exp(prec, field.p))
+    return PerfSeries(field, terms, INF if prec is None else decode_exp(prec, field.p))
 
 
 def encode_comp(u):
-    order = None if is_inf(u.order) else u.order
     return {
-        "N": order,
+        "N": None if u.order == INF else u.order,
         "terms": [{"k": k, "coef": encode_perf(u.terms[k])} for k in sorted(u.terms)],
     }
 
@@ -112,10 +108,8 @@ def decode_comp(field, doc):
     for item in _array(doc.get("terms", []), "composition terms"):
         _require(isinstance(item, dict), "composition term must be an object")
         terms[_int(item.get("k"), "k")] = decode_perf(field, item.get("coef"))
-    order = doc.get("N", None)
-    if order is None:
-        return CompSeries(field, terms)
-    return CompSeries(field, terms, _int(order, "N"))
+    order = doc.get("N")
+    return CompSeries(field, terms, INF if order is None else _int(order, "N"))
 
 
 def comp_value(field, value):
@@ -158,8 +152,7 @@ def encode_normal_form(nf):
 
 
 def encode_certificate(cert, p):
-    order = None if is_inf(cert.order) else cert.order
-    return {"kappa": encode_exp(cert.kappa, p), "order": order}
+    return {"kappa": encode_exp(cert.kappa, p), "order": None if cert.order == INF else cert.order}
 
 
 def decode_implicit(field, doc):
@@ -234,12 +227,12 @@ def digest(obj):
     return hashlib.sha256(canonical_dumps(obj).encode("ascii")).hexdigest()
 
 
-def build_manifest(command, field, order=None, xprec=None, inputs=None, extra=None):
+def build_manifest(command, field, order=INF, xprec=INF, inputs=None, extra=None):
     doc = {
         "command": command,
         "field": encode_field(field),
-        "order": None if order is None or is_inf(order) else int(order),
-        "xprec": None if xprec is None else encode_exp(xprec, field.p),
+        "order": None if order == INF else order,
+        "xprec": None if xprec == INF else encode_exp(xprec, field.p),
         "perf_depth": field.perf_depth,
         "inputs": {name: digest(value) for name, value in (inputs or {}).items()},
     }

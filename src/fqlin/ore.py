@@ -36,7 +36,7 @@ from .errors import (
     ZeroInput,
 )
 from .carlitz import tau_power
-from .fields import INF, is_inf
+from .fields import INF
 from .series import CompSeries
 
 
@@ -92,12 +92,11 @@ def _leading(c, what):
 def factor_unit(c):
     """Split c = unit o t^{q^shift} off the first nonzero coefficient."""
     m, _ = _leading(c, "factorization input")
-    order = c.order if is_inf(c.order) else c.order - m
-    unit = CompSeries(c.field, {k - m: v for k, v in c.terms.items()}, order)
+    unit = CompSeries(c.field, {k - m: v for k, v in c.terms.items()}, c.order - m)
     return UnitFactorization(shift=m, unit=unit)
 
 
-def invert_unit(u, order=None, xprec=None):
+def invert_unit(u, order=INF, xprec=INF):
     """Compositional inverse of a unit, with coefficients up to ``order``."""
     m, _ = _leading(u, "unit")
     if m != 0:
@@ -106,7 +105,7 @@ def invert_unit(u, order=None, xprec=None):
     return inv.truncate_x(xprec)
 
 
-def ore_left_multiple(a, b, order=None):
+def ore_left_multiple(a, b, order=INF):
     """Cofactors (a', b') with a' o b = b' o a and b' = t^{q^L}.
 
     ``order`` caps the index range of a'; with exact inputs it is required,
@@ -118,19 +117,15 @@ def ore_left_multiple(a, b, order=None):
     l, beta = _leading(b, "second Ore input")
     shift = max(0, l - m)
     k0 = m + shift - l
-    cap = INF if order is None else int(order)
-    if not is_inf(a.order):
-        cap = min(cap, a.order + shift - l)
-    if not is_inf(b.order):
-        cap = min(cap, b.order + k0 - l)
-    if is_inf(cap):
+    cap = min(order, a.order + shift - l, b.order + k0 - l)
+    if cap == INF:
         raise ValidationError("an exact input needs an order cap (--order)")
     cap = int(cap)
     beta_inv = beta.inv()
     target = CompSeries(
         a.field,
         {k + shift: c.frobenius(shift) for k, c in a.terms.items()},
-        a.order if is_inf(a.order) else a.order + shift,
+        a.order + shift,
     )
     quot = {}
     for k in range(k0, cap + 1):
@@ -147,13 +142,9 @@ def ore_left_multiple(a, b, order=None):
     return a_prime, b_prime
 
 
-def fraction_normalize(f, order=None, xprec=None):
+def fraction_normalize(f, order=INF, xprec=INF):
     """Normal form of denom^{-1} o numer: a root twist and a single series."""
     fact = factor_unit(f.denom)
     inv = invert_unit(fact.unit, order=order)
-    series = inv.compose(f.numer)
-    if order is not None:
-        series = series.truncate(order)
-    if xprec is not None:
-        series = series.truncate_x(xprec)
+    series = inv.compose(f.numer).truncate(order).truncate_x(xprec)
     return FractionNormalForm(shift=fact.shift, series=series)

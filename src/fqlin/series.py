@@ -4,7 +4,11 @@ A composition series is a finite F_q-linear combination u = sum c_k t^{q^k}
 with coefficients in the perfected scalar field, plus an order marker:
 ``order`` = N means the coefficients at indices 0..N are accounted for and
 anything at index N+1 and beyond is unknown, so u is carried modulo
-O(t^{q^{N+1}}).  Composition twists coefficients by the q-power Frobenius,
+O(t^{q^{N+1}}); ``order`` = INF marks an exact series.  Order arithmetic
+absorbs INF: the exact zero has ``min_index()`` INF, so composing with it
+gives the exact zero, and an exact series has tail bound INF.
+
+Composition twists coefficients by the q-power Frobenius,
 
     (a o b)_l  =  sum_{n+j=l} a_n * b_j^{q^n},
 
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OutsideConvergenceDomain, ValidationError
-from .fields import INF, PerfSeries, is_inf, valuation
+from .fields import INF, PerfSeries, valuation
 
 
 class CompSeries:
@@ -35,7 +39,7 @@ class CompSeries:
     __slots__ = ("field", "terms", "order")
 
     def __init__(self, field, terms, order=INF):
-        if not is_inf(order):
+        if order != INF:
             order = int(order)
         clean = {}
         items = terms.items() if isinstance(terms, dict) else terms
@@ -43,7 +47,7 @@ class CompSeries:
             k = int(k)
             if not isinstance(coef, PerfSeries) or coef.field != field:
                 raise ValidationError("coefficients must be series over the same field")
-            if not is_inf(order) and k > order:
+            if k > order:
                 continue
             if k in clean:
                 coef = clean[k] + coef
@@ -77,19 +81,15 @@ class CompSeries:
         return PerfSeries.zero(self.field) if c is None else c
 
     def min_index(self):
-        """Smallest index whose coefficient might be nonzero, or None for an
-        exact zero series."""
-        if self.terms:
-            return min(self.terms)
-        if is_inf(self.order):
-            return None
-        return self.order + 1
+        """Smallest index whose coefficient might be nonzero; INF for the
+        exact zero."""
+        return min(self.terms) if self.terms else self.order + 1
 
     def is_zero(self):
         return not self.terms
 
     def is_exact_zero(self):
-        return not self.terms and is_inf(self.order)
+        return not self.terms and self.order == INF
 
     def _check(self, other):
         if not isinstance(other, CompSeries) or other.field != self.field:
@@ -142,11 +142,7 @@ class CompSeries:
 
     def compose(self, other):
         self._check(other)
-        ma = self.min_index()
-        mb = other.min_index()
-        if ma is None or mb is None:
-            return CompSeries.zero(self.field)
-        order = min(self.order + mb, other.order + ma)
+        order = min(self.order + other.min_index(), other.order + self.min_index())
         acc = {}
         for n, a_n in self.terms.items():
             for j, b_j in other.terms.items():
@@ -169,14 +165,12 @@ class CompSeries:
     # -- truncation and evaluation ---------------------------------------------
 
     def truncate(self, order):
-        if order is None or is_inf(order) or order >= self.order:
+        if order >= self.order:
             return self
         return CompSeries(self.field, self.terms, int(order))
 
     def truncate_x(self, xprec):
         """Truncate every coefficient to the given x-adic precision."""
-        if xprec is None:
-            return self
         return CompSeries(
             self.field,
             {k: c.truncate(xprec) for k, c in self.terms.items()},
@@ -186,9 +180,9 @@ class CompSeries:
     def eval_at(self, t0, cert=None):
         """Evaluate at a scalar point inside the convergence domain.
 
-        The result precision accounts both for coefficient x-precision and,
-        when the order is finite, for the certified tail bound
-        q^{order+1} * (v(t0) - kappa).
+        The result precision accounts both for coefficient x-precision and
+        for the certified tail bound q^{order+1} * (v(t0) - kappa), which is
+        INF for an exact series.
         """
         if not isinstance(t0, PerfSeries) or t0.field != self.field:
             raise ValidationError("evaluation point must be a scalar series")
@@ -205,11 +199,8 @@ class CompSeries:
         total = PerfSeries.zero(self.field)
         for k, c_k in self.terms.items():
             total = total + c_k * t0.frobenius(k)
-        if not is_inf(self.order):
-            q = self.field.q
-            tail = (vt0.value - cert.kappa) * q ** (self.order + 1)
-            total = total.truncate(min(total.prec, tail))
-        return total
+        tail = self.field.q ** (self.order + 1) * (vt0.value - cert.kappa)
+        return total.truncate(min(total.prec, tail))
 
     # -- comparison -------------------------------------------------------------
 
@@ -223,7 +214,7 @@ class CompSeries:
 
     def __repr__(self):
         body = " + ".join(f"({c!r})*t^[q^{k}]" for k, c in self.terms.items()) or "0"
-        tail = "" if is_inf(self.order) else f" + O(t^[q^{self.order + 1}])"
+        tail = "" if self.order == INF else f" + O(t^[q^{self.order + 1}])"
         return f"<CompSeries {body}{tail}>"
 
 

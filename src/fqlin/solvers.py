@@ -72,7 +72,7 @@ from .errors import (
     ValidationError,
     ZeroInput,
 )
-from .fields import INF, PerfSeries, den_exp, is_inf, least_factor_degree, valuation
+from .fields import DEFAULT_XPREC, INF, PerfSeries, den_exp, least_factor_degree, valuation
 from .ore import factor_unit
 from .series import CompSeries, GrowthCertificate, _PowerTable, growth_certificate
 
@@ -144,7 +144,7 @@ class ImplicitProblem:
         for i, part in enumerate(P):
             if not isinstance(part, CompSeries) or part.field != fld:
                 raise ValidationError(f"P_{i} is not a series over the problem field")
-            if part.min_index() is not None and part.min_index() < 0:
+            if part.min_index() < 0:
                 raise ValidationError(f"P_{i} has negative indices")
         try:
             fact = factor_unit(P[1])
@@ -162,7 +162,7 @@ class ImplicitProblem:
         return self.P[1].field
 
 
-def solve_implicit(prob, order, xprec=None):
+def solve_implicit(prob, order, xprec=INF):
     """Unique solution z = sum_{i > nu} c_i t^{q^i} and its certificate."""
     nu = prob.nu
     fld = prob.field
@@ -171,14 +171,8 @@ def solve_implicit(prob, order, xprec=None):
     for j in range(2 * nu + 1):
         if not p0.coeff(j).is_zero():
             raise NotSolvable(f"the constant term is nonzero at index {j} <= 2 nu")
-    bounds = [order]
-    if not is_inf(p0.order):
-        bounds.append(p0.order - nu)
-    if not is_inf(p1.order):
-        bounds.append(p1.order + 1)
-    for k, pk in enumerate(prob.P[2:], start=2):
-        if not is_inf(pk.order):
-            bounds.append(pk.order + k * (nu + 1) - nu)
+    bounds = [order, p0.order - nu, p1.order + 1]
+    bounds += [pk.order + k * (nu + 1) - nu for k, pk in enumerate(prob.P[2:], start=2)]
     n_eff = int(min(bounds))
     terms = [(k, n, a) for k, pk in enumerate(prob.P) for n, a in pk.terms.items()]
 
@@ -213,16 +207,15 @@ class OdeProblem:
         object.__setattr__(self, "a", clean)
 
 
-def solve_ode(prob, order, xprec=None):
+def solve_ode(prob, order, xprec=INF):
     """Unique solution z = sum_{i>=1} c_i t^{q^i} and its certificate."""
     fld = prob.field
     terms = [(k, j, a) for (j, k), a in prob.a.items()]
-    bracket_prec = None if xprec is None else Fraction(xprec) + 1
 
     def step(i, s):
         if s.is_exact_zero():
             return s  # stays unstored; truncating would make it O(x^xprec)
-        return s.frobenius(1).div(bracket(fld, i), prec=bracket_prec).truncate(xprec)
+        return s.frobenius(1).div(bracket(fld, i), prec=xprec + 1).truncate(xprec)
 
     coeffs = _recursion(fld, terms, range(1, order + 1), -1, step)
     z = CompSeries(fld, coeffs, order)
@@ -359,10 +352,7 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
     v_beta = valuation(beta).value
     stop = max(Fraction(wprec) + v_alpha, q * Fraction(wprec) + v_beta)
     if rhs.is_zero():
-        if is_inf(rhs.prec):
-            return PerfSeries.zero(fld)
-        bound = min(rhs.prec - v_alpha, (rhs.prec - v_beta) / q)
-        return PerfSeries.zero(fld, prec=bound)
+        return PerfSeries.zero(fld, prec=min(rhs.prec - v_alpha, (rhs.prec - v_beta) / q))
     v_r = valuation(rhs).value
     chord = v_r + Fraction(v_beta - v_r) / q
     if v_alpha < chord:
@@ -419,16 +409,15 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
     )
 
 
-def solve_riccati(prob, order, xprec=None, trace=None):
-    """Solution data (c, [a_0 ... a_order]) of the fractional-term ansatz."""
+def solve_riccati(prob, order, xprec=INF, trace=None):
+    """Solution data (c, [a_0 ... a_order]) of the fractional-term ansatz;
+    the digits are infinitely many, so xprec = INF means DEFAULT_XPREC."""
     fld = prob.field
     q = fld.q
-    if xprec is None:
-        xprec = fld.default_xprec
-    wprec = Fraction(xprec) + 4
+    wprec = Fraction(DEFAULT_XPREC if xprec == INF else xprec) + 4
     lam = prob.lam
     root_bracket = bracket(fld, -1).root_q()  # [-1]^{1/q}, exact
-    if is_inf(lam.prec) and len(lam.terms) == 1:
+    if lam.prec == INF and len(lam.terms) == 1:
         lam_inv = lam.inv()  # exact for a monomial
     else:
         lam_inv = lam.inv(prec=wprec)

@@ -41,7 +41,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
-from .fields import INF, PerfSeries, den_exp, is_inf
+from .fields import INF, PerfSeries, den_exp
 from .series import CompSeries
 
 __all__ = [
@@ -95,7 +95,7 @@ def _emit_scalar_term(e, c):
 def emit_perf_series(a):
     """Canonical text for a scalar series."""
     parts = [_emit_scalar_term(e, c) for e, c in a.terms]
-    if not is_inf(a.prec):
+    if a.prec != INF:
         prec = Fraction(a.prec)
         if prec.denominator == 1:
             parts.append(f"O(x^{prec.numerator})")
@@ -124,7 +124,7 @@ def emit_comp_series(u):
             parts.append(f"({coef_str})*{tpart}")
         else:
             parts.append(f"{coef_str}*{tpart}")
-    if not is_inf(u.order):
+    if u.order != INF:
         parts.append(f"O(t^[q^{int(u.order) + 1}])")
     if not parts:
         return "0"

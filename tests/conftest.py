@@ -17,7 +17,12 @@ F4_OVER_F2 = FieldConfig(p=2, v=1, s=2)  # scalars in F_4, q = 2
 SMALL_FIELDS = [F2, F3, F4, F9, F4_OVER_F2]
 
 
-@pytest.fixture(params=SMALL_FIELDS, ids=lambda c: f"p{c.p}v{c.v}s{c.s}")
+def field_id(cfg):
+    """Short test id of a field, e.g. p2v1s2."""
+    return f"p{cfg.p}v{cfg.v}s{cfg.s}"
+
+
+@pytest.fixture(params=SMALL_FIELDS, ids=field_id)
 def field(request):
     return request.param
 

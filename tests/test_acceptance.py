@@ -152,9 +152,9 @@ def test_criterion_2_ore_identity():
 
 
 def is_order_below(series, order):
-    from fqlin import is_inf
+    from fqlin import INF
 
-    return (not is_inf(series.order)) and series.order < order
+    return series.order != INF and series.order < order
 
 
 def test_criterion_3_unit_inversion():

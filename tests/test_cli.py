@@ -1,6 +1,10 @@
 """End-to-end tests of the command line: goldens, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -254,6 +258,29 @@ def test_validation_exit_codes(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["add", "--p", "3", "x", "x", "--perf-depth", "99999999"], None),
+        (["add", "--p", "2", "x", "x", "--xprec", "1/99999999"], None),
+        (["certify"], {"field": {"p": 2}, "u": {"N": None, "terms": [{"k": 0, "coef": {
+            "prec": None, "terms": [{"e": {"num": 1, "den_exp": 99999999}, "c": [1]}]}}]}}),
+    ],
+    ids=["perf-depth", "xprec", "den-exp"],
+)
+def test_depth_cap_exits_2_in_bounded_time(tmp_path, argv, doc):
+    """Depths past MAX_PERF_DEPTH are refused before p^depth is formed."""
+    if doc is not None:
+        argv = argv + ["-i", write_doc(tmp_path, "deep.json", doc)]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run(
+        [sys.executable, "-m", "fqlin.cli", *argv], capture_output=True, text=True, env=env, timeout=5
+    )
+    assert out.returncode == 2 and out.stderr.startswith("error: "), out.stderr
 
 
 def test_precondition_exit_code(tmp_path):

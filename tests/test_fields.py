@@ -21,9 +21,9 @@ from fqlin import (
     PerfectionDepthExceeded,
     PrecisionExhausted,
     ValidationError,
-    is_inf,
     valuation,
 )
+from fqlin.fields import DEFAULT_XPREC
 from fqlin.jsonio import decode_exp, encode_exp
 from fqlin.textio import parse_series
 
@@ -245,7 +245,7 @@ def test_series_rejects_deep_exponents():
 
 def test_series_normalization():
     a = PerfSeries(F2, [(Fraction(1), F2.one()), (Fraction(1), F2.one())])
-    assert a.is_zero() and is_inf(a.prec)
+    assert a.is_zero() and a.prec == INF
     b = PerfSeries(F2, [(Fraction(5), F2.one())], prec=3)
     assert b.is_zero() and b.prec == 3
     c = PerfSeries(F3, [(Fraction(2), F3.elem(1)), (Fraction(0), F3.elem(2))])
@@ -269,17 +269,16 @@ def test_inv_golden_geometric_series():
 def test_inv_exact_monomial_stays_exact():
     m = PerfSeries.x_pow(F4, Fraction(3, 2), F4.gen())
     inv = m.inv()
-    assert is_inf(inv.prec)
+    assert inv.prec == INF
     assert (m * inv) == PerfSeries.one(F4)
 
 
 def test_inv_exact_multi_term_uses_default_relative_precision():
-    cfg = FieldConfig(p=2, default_xprec=Fraction(8))
-    a = PerfSeries(cfg, [(Fraction(2), cfg.one()), (Fraction(3), cfg.one())])
+    a = PerfSeries(F2, [(Fraction(2), F2.one()), (Fraction(3), F2.one())])
     inv = a.inv()
-    assert inv.prec == 8 - 2  # default_xprec relative to the valuation -2
+    assert inv.prec == DEFAULT_XPREC - 2 == 30  # relative to the valuation -2
     prod = a * inv
-    assert prod.truncate(6) == PerfSeries.one(cfg).truncate(6)
+    assert prod.truncate(30) == PerfSeries.one(F2).truncate(30)
 
 
 def test_inv_precision_failures():
@@ -317,7 +316,7 @@ def test_valuation_reporting():
     z = PerfSeries.zero(F2, prec=3)
     assert valuation(z) == (3, False)
     assert valuation(PerfSeries.zero(F2)).exact is False
-    assert is_inf(valuation(PerfSeries.zero(F2)).value)
+    assert valuation(PerfSeries.zero(F2)).value == INF
 
 
 def test_truncate_and_coeff():
@@ -371,7 +370,7 @@ def test_series_frobenius_laws(data):
     assert fa.root_q() == a
     assert (a + b).frobenius(1) == fa + b.frobenius(1)
     assert (a * b).frobenius(1) == fa * b.frobenius(1)
-    if not is_inf(a.prec):
+    if a.prec != INF:
         assert fa.prec == a.prec * cfg.q
 
 
@@ -459,7 +458,7 @@ def test_equal_values_are_equal_however_built():
 
 
 def ref_of(a):
-    return dict(a.terms), None if is_inf(a.prec) else a.prec
+    return dict(a.terms), None if a.prec == INF else a.prec
 
 
 def ref_normal(terms, prec):
@@ -514,7 +513,7 @@ def ref_inv(cfg, a, prec):
     c0_inv = ta[w].inverse()
     limit = ref_min(None if pa is None else pa - 2 * w, prec)
     if limit is None:
-        limit = cfg.default_xprec - w
+        limit = DEFAULT_XPREC - w
     digits = {}
     rem = {Fraction(0): cfg.one()}
     while True:
@@ -572,7 +571,7 @@ def test_series_arithmetic_matches_reference(data):
         if limit <= -a.terms[0][0]:
             with pytest.raises(PrecisionExhausted):
                 a.inv(prec=want)
-        elif want is None and is_inf(a.prec) and len(a.terms) == 1:
+        elif want is None and a.prec == INF and len(a.terms) == 1:
             e, c = a.terms[0]
             assert_matches(a.inv(), ({-e: c.inverse()}, None))
         else:
@@ -587,7 +586,7 @@ def test_series_arithmetic_matches_reference(data):
     elif ref_inv(cfg, rb, want)[1] <= -b.terms[0][0]:
         with pytest.raises(PrecisionExhausted):
             a.div(b, prec=want)
-    elif want is None and is_inf(b.prec) and len(b.terms) == 1:
+    elif want is None and b.prec == INF and len(b.terms) == 1:
         e, c = b.terms[0]
         assert_matches(a.div(b), ref_mul(ra, ({-e: c.inverse()}, None)))
     else:

@@ -21,7 +21,6 @@ from fqlin import (
     PerfSeries,
     ValidationError,
     growth_certificate,
-    is_inf,
     multinomial_coeff,
     valuation,
 )
@@ -174,9 +173,9 @@ def test_truncated_composition_matches_full(data):
     if part.is_exact_zero():
         assert full.is_exact_zero() or min(full.terms) > max(na, nb)
         return
-    assert not is_inf(part.order) or full == part
+    assert part.order != INF or full == part
     k = 0
-    while k <= part.order and not is_inf(part.order):
+    while k <= part.order and part.order != INF:
         assert part.coeff(k) == full.coeff(k)
         k += 1
 
@@ -268,7 +267,7 @@ def test_certificate_golden():
     )
     cert = growth_certificate(u)
     assert cert.kappa == Fraction(1)
-    assert is_inf(cert.order)
+    assert cert.order == INF
     assert growth_certificate(CompSeries.zero(F2)).kappa == 0
 
 
@@ -299,6 +298,67 @@ def test_eval_outside_domain_raises():
         # valuation of the point is only a bound, not exact
         u.eval_at(PerfSeries.zero(F2, prec=Fraction(1, 2)))
     assert u.eval_at(PerfSeries.zero(F2)).is_exact_zero()
+
+
+HUGE = 10**400  # past float range: INF must absorb it without converting it
+
+
+def _inf_zero_min_index():
+    assert CompSeries.zero(F2).min_index() == INF
+    assert CompSeries.zero(F2, order=2).min_index() == 3
+
+
+def _inf_compose_exact_zero():
+    u = CompSeries(F2, {0: PerfSeries.x_pow(F2, 1), 1: PerfSeries.one(F2)}, order=3)
+    zero = CompSeries.zero(F2)
+    assert u.compose(zero) == zero and zero.compose(u) == zero
+
+
+def _inf_exact_needs_order_cap():
+    from fqlin import invert_unit, ore_left_multiple
+
+    u = CompSeries(F2, {0: PerfSeries.one(F2), 1: PerfSeries.x_pow(F2, 1)})
+    for call in (lambda: invert_unit(u), lambda: ore_left_multiple(CompSeries.identity(F2), u)):
+        with pytest.raises(ValidationError, match="order cap"):
+            call()
+
+
+def _inf_eval_tail_bound():
+    # kappa = max(1/1, 3/3) = 1, so the tail is q^{N+1} (v(t0) - kappa) = 9 (2 - 1)
+    u = CompSeries(F3, {0: PerfSeries.x_pow(F3, -1), 1: PerfSeries.x_pow(F3, -3)}, order=1)
+    value = u.eval_at(PerfSeries.x_pow(F3, 2))
+    assert growth_certificate(u).kappa == 1 and value.prec == 9
+    assert value == PerfSeries(F3, [(1, F3.one()), (3, F3.one())], 9)
+    assert CompSeries(F3, u.terms).eval_at(PerfSeries.x_pow(F3, 2)).prec == INF
+
+
+def _inf_absorbs_huge_values():
+    from fqlin import ore_left_multiple
+    from fqlin.solvers import _solve_additive
+
+    t0 = PerfSeries.x_pow(F2, HUGE)
+    assert CompSeries.identity(F2).eval_at(t0) == t0
+    far = CompSeries.monomial(F2, HUGE)
+    assert ore_left_multiple(far, far, order=2)[0] == CompSeries.identity(F2).truncate(2)
+    alpha, beta = PerfSeries.x_pow(F2, 1), PerfSeries.x_pow(F2, HUGE)
+    assert _solve_additive(alpha, beta, PerfSeries.zero(F2), 8, 0).is_exact_zero()
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        _inf_zero_min_index,
+        _inf_compose_exact_zero,
+        _inf_exact_needs_order_cap,
+        _inf_eval_tail_bound,
+        _inf_absorbs_huge_values,
+    ],
+    ids=lambda f: f.__name__[5:],
+)
+def test_inf_semantics(check):
+    """INF is the one unbounded order, precision and minimum index, and
+    sums, minima and products absorb it."""
+    check()
 
 
 @given(st.data())

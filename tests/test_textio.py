@@ -17,7 +17,7 @@ from fqlin.textio import (
     parse_series,
 )
 
-from conftest import F2, F3, F4, F4_OVER_F2, SMALL_FIELDS, exponents, perf_series
+from conftest import F2, F3, F4, F4_OVER_F2, SMALL_FIELDS, exponents, field_id, perf_series
 
 
 def comp_series(cfg, max_terms=3, index_range=(-2, 3), exact=True):
@@ -130,7 +130,7 @@ def test_emit_series_dispatch():
 # -- round trips ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("cfg", SMALL_FIELDS, ids=str)
+@pytest.mark.parametrize("cfg", SMALL_FIELDS, ids=field_id)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_perf_round_trip(cfg, data):
@@ -139,7 +139,7 @@ def test_perf_round_trip(cfg, data):
     assert parse_perf_series(cfg, text) == a
 
 
-@pytest.mark.parametrize("cfg", SMALL_FIELDS, ids=str)
+@pytest.mark.parametrize("cfg", SMALL_FIELDS, ids=field_id)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_comp_round_trip(cfg, data):
@@ -148,7 +148,7 @@ def test_comp_round_trip(cfg, data):
     assert parse_comp_series(cfg, text) == u
 
 
-@pytest.mark.parametrize("cfg", [F2, F4_OVER_F2], ids=str)
+@pytest.mark.parametrize("cfg", [F2, F4_OVER_F2], ids=field_id)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_emission_is_stable(cfg, data):
