@@ -25,6 +25,7 @@ from .series import CompSeries
 
 def bracket(field, k):
     """[k] = x^{q^k} - x as an exact scalar series."""
+    field.check_twist(k, "k")
     if k == 0:
         return PerfSeries.zero(field)
     exp = Fraction(field.q) ** k
@@ -35,6 +36,7 @@ def bracket(field, k):
 
 def tau_power(u, j):
     """t^{q^j} o u; negative j applies the formal q^{|j|}-th root twist."""
+    u.field.check_twist(j, "j")
     if j == 0:
         return u
     return CompSeries(

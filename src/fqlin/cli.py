@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .carlitz import bracket, carlitz_d, carlitz_delta, tau_power
 from .errors import KernelError, ResidualCheckFailed, ValidationError
-from .fields import INF, MAX_PERF_DEPTH, FieldConfig
+from .fields import INF, MAX_FIELD_BITS, MAX_PERF_DEPTH, MAX_TWIST_BITS, FieldConfig
 from .jsonio import (
     build_manifest,
     canonical_dumps,
@@ -250,7 +250,7 @@ def non_negative_int(text):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, help="characteristic of the base field")
+    common.add_argument("--p", type=int, help=f"characteristic of the base field; p^(v*s) <= 2^{MAX_FIELD_BITS}")
     common.add_argument("--v", type=int, help="q = p^v")
     common.add_argument("--s", type=int, help="scalars live in F_{q^s}")
     common.add_argument("--mod", help="modulus coefficients over F_p, ascending, comma-separated")
@@ -269,7 +269,8 @@ def build_parser():
         for pos, _ in command.inputs:
             sub.add_argument(pos, nargs="?", help="series expression (or supply it in the input document)")
         for flag in command.options:
-            sub.add_argument(f"--{flag}", type=int, required=True)
+            limit = f"q^|{flag}| <= 2^{MAX_TWIST_BITS}, so |{flag}| <= 1024 for q = 2"
+            sub.add_argument(f"--{flag}", type=int, required=True, help=limit)
     return parser
 
 

@@ -71,6 +71,11 @@ INF = _Unbounded("inf")  # the one unbounded order, precision and minimum index
 # the inverse of 1 + x, relative to its valuation; and the cap on perf_depth
 DEFAULT_XPREC = Fraction(32)
 MAX_PERF_DEPTH = 1024
+# the residue field has at most 2^MAX_FIELD_BITS elements, which bounds the
+# primality test and the modulus search; and q^|k| <= 2^MAX_TWIST_BITS for a
+# twist count, bracket index or compositional power k
+MAX_FIELD_BITS = 32
+MAX_TWIST_BITS = 1024
 
 
 def _is_prime(n):
@@ -181,7 +186,11 @@ class FieldConfig:
     coefficients, degree v*s) presenting F_{q^s}; when omitted the
     lexicographically first monic irreducible of that degree is chosen.
     ``perf_depth`` caps exponent denominators at p^E, E <= MAX_PERF_DEPTH
-    (default 8v).
+    (default 8v).  The field F_{q^s} has at most 2^32 elements
+    (MAX_FIELD_BITS), checked before p is tested for primality, so p < 2^32
+    and v*s <= 32.  ``max_twist`` bounds the twist counts, bracket indices
+    and compositional powers k taken over the field: q^|k| <= 2^1024
+    (MAX_TWIST_BITS).
     """
 
     p: int
@@ -191,15 +200,19 @@ class FieldConfig:
     perf_depth: int = None
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValidationError(f"p = {self.p} is not prime")
         if self.v < 1 or self.s < 1:
             raise ValidationError("v and s must be positive")
+        degree = self.v * self.s
+        if degree > MAX_FIELD_BITS or self.p**degree > 2**MAX_FIELD_BITS:
+            raise ValidationError(
+                f"the field of order p^(v*s) = {self.p}^{degree} has more than 2^{MAX_FIELD_BITS} elements"
+            )
+        if not _is_prime(self.p):
+            raise ValidationError(f"p = {self.p} is not prime")
         if self.perf_depth is None:
             object.__setattr__(self, "perf_depth", 8 * self.v)
         if not 0 <= self.perf_depth <= MAX_PERF_DEPTH:
             raise ValidationError(f"perf_depth must be in 0..{MAX_PERF_DEPTH}, got {self.perf_depth}")
-        degree = self.v * self.s
         if self.modulus is None:
             object.__setattr__(self, "modulus", _first_irreducible(self.p, degree))
         else:
@@ -224,6 +237,23 @@ class FieldConfig:
     @property
     def q(self):
         return self.p**self.v
+
+    @cached_property
+    def max_twist(self):
+        """The largest k with q^k <= 2^MAX_TWIST_BITS."""
+        q, bound = self.q, 2**MAX_TWIST_BITS
+        k, power = 0, q
+        while power <= bound:
+            k, power = k + 1, power * q
+        return k
+
+    def check_twist(self, k, name):
+        """Refuse |k| > max_twist, before q^k is formed."""
+        if abs(k) > self.max_twist:
+            raise ValidationError(
+                f"|{name}| = {abs(k)} is out of range: q^|{name}| <= 2^{MAX_TWIST_BITS} "
+                f"needs |{name}| <= {self.max_twist}"
+            )
 
     @property
     def degree(self):

@@ -157,6 +157,7 @@ class CompSeries:
         """k-fold composition of self with itself (k >= 0)."""
         if k < 0:
             raise ValidationError("compositional power must be non-negative")
+        self.field.check_twist(k, "k")
         result = CompSeries.identity(self.field)
         for _ in range(k):
             result = self.compose(result)
@@ -245,16 +246,18 @@ def growth_certificate(u):
 
 
 class _PowerTable:
-    """M_k[m], the index-m coefficient of z^{o k} for z = sum_{n>=1} c_n t^{q^n},
-    with c_n read from the live table ``coeffs``.  M_0 = t, M_1[m] = c_m and,
-    for k >= 2 (z outermost), M_k[m] = sum_{n>=1} c_n * M_{k-1}[m-n]^{q^n},
-    which reads c_n for n <= m - k + 1 only.  Entries with k >= 2 are kept
-    once computed, so each must involve only c_n already in ``coeffs`` when
-    first asked for.  M_1 is ``coeffs`` itself, where a solver adds its
-    unknown, and is never cached."""
+    """M_k[m], the index-m coefficient of z^{o k} for z = sum_{n>=lo} c_n t^{q^n},
+    with c_n read from the live table ``coeffs``; the lowest index lo is 1,
+    or 0 when the solver seeds c_0.  M_0 = t, M_1[m] = c_m and, for k >= 2
+    (z outermost), M_k[m] = sum_{n>=lo} c_n * M_{k-1}[m-n]^{q^n}, which reads
+    c_n for n <= m - (k-1) lo only.  Entries with k >= 2 are kept once
+    computed, so each must involve only c_n already in ``coeffs`` when first
+    asked for.  M_1 is ``coeffs`` itself, where a solver adds its unknown,
+    and is never cached."""
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, coeffs, lo):
         self.coeffs = coeffs
+        self.lo = lo
         self.kept = {}  # (k, m) -> M_k[m] for k >= 2
         self.zero = PerfSeries.zero(field)
         self.one = PerfSeries.one(field)
@@ -267,7 +270,7 @@ class _PowerTable:
         entry = self.kept.get((k, m))
         if entry is None:
             entry = self.zero
-            for n in range(1, m - k + 2):
+            for n in range(self.lo, m - (k - 1) * self.lo + 1):
                 c_n = self.coeffs.get(n)
                 if c_n is None:
                     continue
@@ -279,9 +282,11 @@ class _PowerTable:
 
 
 def multinomial_coeff(l, k, coeffs, field):
-    """Coefficient at index l of z^{o k} for z = sum_{n>=1} c_n t^{q^n} (exact
-    zero for k < 1 or l < k), from a one-shot _PowerTable.  Only c_n with
-    n <= l - k + 1 are read, so a partially known ``coeffs`` is safe."""
-    if k < 1 or l < k:
+    """Coefficient at index l of z^{o k} for z = sum_{n>=lo} c_n t^{q^n}, with
+    lo = 0 when ``coeffs`` holds c_0 and 1 otherwise (exact zero for k < 1
+    or l < k lo), from a one-shot _PowerTable.  Only c_n with
+    n <= l - (k-1) lo are read, so a partially known ``coeffs`` is safe."""
+    lo = 0 if 0 in coeffs else 1
+    if k < 1 or l < k * lo:
         return PerfSeries.zero(field)
-    return _PowerTable(field, coeffs).get(k, l)
+    return _PowerTable(field, coeffs, lo).get(k, l)

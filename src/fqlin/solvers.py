@@ -26,36 +26,42 @@ inhomogeneous column, which would suffice for linear equations, does not
 survive the k >= 2 terms, so the transform used here is
 z = (gamma t) o z' o (gamma^{-1} t), i.e. c_i = gamma^{1-q^i} c'_i.
 
-The implicit equation and the ODE are solved by one coefficient
-recursion.  Each becomes a list of (k, n, a) terms; a term stands for
+All three families are solved by one coefficient recursion,
+``_recursion``.  Each becomes a list of (k, n, a) terms; a term stands for
 a * (z^{o k})_{e-n}^{q^n} at equation index e, with a P_k's coefficient at
 index n for the implicit equation, a_{nk} for the ODE.  Since z^{o 0} = t,
 P_0 and the inhomogeneous column a_{j0} join the same sum.  Step i sums
-the terms at e = i + nu (implicit) or e = i - 1 (ODE); c_i itself is not
-yet known there and reads zero.  The solver's own step turns the sum s
-into c_i: (-(u_0^{-1} s))^{q^{-nu}} for the implicit equation and
-[i]^{-1} s^q for the ODE.  The multinomials M_k[m] = (z^{o k})_m come from
-one table per solve, which keeps every entry once computed and grows as
-the steps ask for more: the online ("relaxed") evaluation of van der
-Hoeven, "Relax, but don't be too lazy" (J. Symbolic Comput. 2002).  At
-step i every entry with k >= 2 involves only c_1 .. c_{i-1}, so it is
-final when it is computed.
+the terms at e = i + nu (implicit) or e = i - 1 (ODE and Riccati); c_i
+itself is not yet known there and reads zero.  The solver's own step
+turns the sum s into c_i: (-(u_0^{-1} s))^{q^{-nu}} for the implicit
+equation and [i]^{-1} s^q for the ODE.  The multinomials M_k[m] =
+(z^{o k})_m come from one table per solve, which keeps every entry once
+computed and grows as the steps ask for more: the online ("relaxed")
+evaluation of van der Hoeven, "Relax, but don't be too lazy" (J. Symbolic
+Comput. 2002).  The table reads z from index 1, or from index 0 when the
+solver seeds c_0; at step i every entry with k >= 2 involves only
+coefficients below i, so it is final when it is computed.
 
 Riccati-type equations d y = lambda (y o y) + P(tau) y + R with
 y = c t^{1/q} + sum_n a_n t^{q^n}: the fractional index forces
-c = lambda^{-1} [-1]^{1/q} exactly and a_0^{1/q} + a_0 = 0; each later
-coefficient solves the additive equation
+c = lambda^{-1} [-1]^{1/q} exactly and a_0^{1/q} + a_0 = 0, that is
+a_0 + a_0^q = 0, a residue equation like those of the later steps.  With
+z = sum_{n>=0} a_n t^{q^n} the right-hand side at e = l is the term list
+(2, 0, lambda), (1, k, p_k), (0, j, r_j): M_2[l] = sum_{n=0..l}
+a_n a_{l-n}^{q^n}, and lambda multiplies it once.  The step adds the one
+term that holds c, p_{l+1} c^{q^{l+1}}, and solves the additive equation
 
     alpha w - beta w^q = rhs_l,      w = a_{l+1}^{1/q},
     alpha = [l+1]^{1/q} - lambda c = x^{q^l} - x^{1/q^2},
     beta = lambda c^{q^{l+1}},
 
-handled by a Newton-polygon analysis over the value group Z[1/p], a
-residue-field solve, and a Hensel fixed-point lift w <- (rhs + beta w^q)
-/ alpha whose error contracts as e -> (beta/alpha) e^q; the lift runs at
-most the number of iterations that contraction needs to reach the working
-precision.  Each step divides by the binomial alpha exactly
-(``PerfSeries.div``); 1/alpha is never formed.
+by a Newton-polygon analysis over the value group Z[1/p], a residue-field
+solve, and a Hensel fixed-point lift w <- (rhs + beta w^q) / alpha whose
+error contracts as e -> (beta/alpha) e^q; the lift runs at most the
+number of iterations that contraction needs to reach the working
+precision, and w keeps only the digits its last residual determines.
+Each step divides by the binomial alpha exactly (``PerfSeries.div``);
+1/alpha is never formed.
 """
 
 from __future__ import annotations
@@ -99,15 +105,16 @@ def _coerce_coeff(field, value, what):
 
 
 # ---------------------------------------------------------------------------
-# the coefficient recursion shared by the implicit and ODE solvers
+# the coefficient recursion shared by the three solvers
 
 
-def _recursion(fld, terms, indices, shift, step):
+def _recursion(fld, terms, indices, shift, step, a0=None):
     """c_i = step(i, s) for i in indices, where s = sum a * M_k[e - n]^{q^n}
     over the (k, n, a) terms at equation index e = i + shift.  c_i enters
-    the table after its step, so the term holding it reads zero."""
-    coeffs = {}
-    powers = _PowerTable(fld, coeffs)
+    the table after its step, so the term holding it reads zero.  z starts
+    at index 1, or at index 0 with c_0 = a0 when the solver seeds it."""
+    coeffs = {} if a0 is None else {0: a0}
+    powers = _PowerTable(fld, coeffs, 1 if a0 is None else 0)
     for i in indices:
         e = i + shift
         s = PerfSeries.zero(fld)
@@ -302,17 +309,6 @@ class RiccatiProblem:
         return self.lam.field
 
 
-def _nonzero_a0(fld):
-    """Lexicographically least nonzero root of a^{1/q} + a = 0; in odd
-    characteristic the roots may only exist in a quadratic extension."""
-    for e in fld.elements():
-        if not e.is_zero() and e.pow_q(-1) == -e:
-            return e
-    raise NeedsFieldExtension(
-        2, "Riccati a_0: no nonzero solution of a^{q-1} = -1 in the scalar residue field"
-    )
-
-
 def _residue_root(fld, on_line, r0, a0, b0, q):
     """Lexicographically least nonzero solution of the residue equation
     r0*[0] - a0*w*[1] + b0*w^q*[q] = 0 restricted to the on-line indices.
@@ -396,7 +392,8 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
         if converged:
             if trace is not None:
                 trace.append({"mu": mu, "residuals": res_vals})
-            return w.truncate(wprec)
+            # a residual that is zero only modulo its precision fixes fewer digits
+            return w.truncate(min(wprec, res_vals[-1] - v_alpha))
     if needed_degree is not None:
         raise NeedsFieldExtension(
             needed_degree,
@@ -422,33 +419,31 @@ def solve_riccati(prob, order, xprec=INF, trace=None):
     else:
         lam_inv = lam.inv(prec=wprec)
     c = lam_inv * root_bracket
-    if prob.branch == "zero":
-        a = [PerfSeries.zero(fld)]
-    else:
-        a = [PerfSeries.constant(fld, _nonzero_a0(fld))]
-    for l in range(order):
-        alpha = PerfSeries(
-            fld,
-            [(Fraction(q) ** l, fld.one()), (Fraction(1, q**2), -fld.one())],
-        )
-        beta = lam * c.frobenius(l + 1)
-        rhs = PerfSeries.zero(fld)
-        for n in range(l + 1):
-            rhs = rhs + lam * (a[n] * a[l - n].frobenius(n))
-        for k, p_k in prob.p.items():
-            if 1 <= k <= l:
-                rhs = rhs + p_k * a[l - k].frobenius(k)
-            elif k == l + 1:
-                rhs = rhs + p_k * c.frobenius(l + 1)
-        r_l = prob.r.get(l)
-        if r_l is not None:
-            rhs = rhs + r_l
+    a0 = None
+    if prob.branch == "nonzero":  # a^{1/q} + a = 0, raised to the q-th power
+        root = _residue_root(fld, (1, q), fld.zero(), -fld.one(), fld.one(), q)
+        if isinstance(root, int):
+            raise NeedsFieldExtension(
+                root, "Riccati a_0: no nonzero solution of a^{q-1} = -1 in the scalar residue field"
+            )
+        a0 = PerfSeries.constant(fld, root)
+    terms = [(2, 0, lam)] + [(1, k, p_k) for k, p_k in prob.p.items()]
+    terms += [(0, j, r_j) for j, r_j in prob.r.items()]
+
+    def step(i, s):
+        # the one term outside the list: p_i c^{q^i}, where c sits at index -1
+        c_i = c.frobenius(i)
+        if i in prob.p:
+            s = s + prob.p[i] * c_i
+        alpha = PerfSeries(fld, [(Fraction(q) ** (i - 1), fld.one()), (Fraction(1, q**2), -fld.one())])
         step_trace = None if trace is None else []
-        w = _solve_additive(alpha, beta, rhs, wprec, l, trace=step_trace)
+        w = _solve_additive(alpha, lam * c_i, s, wprec, i - 1, trace=step_trace)
         if trace is not None:
-            trace.append({"l": l, "steps": step_trace})
-        a.append(w.frobenius(1))
-    return c, a
+            trace.append({"l": i - 1, "steps": step_trace})
+        return w.frobenius(1)
+
+    coeffs = _recursion(fld, terms, range(1, order + 1), -1, step, a0)
+    return c, [coeffs.get(n, PerfSeries.zero(fld)) for n in range(order + 1)]
 
 
 def riccati_series(c, a, field):

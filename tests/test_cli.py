@@ -274,6 +274,10 @@ def test_depth_cap_exits_2_in_bounded_time(tmp_path, argv, doc):
     """Depths past MAX_PERF_DEPTH are refused before p^depth is formed."""
     if doc is not None:
         argv = argv + ["-i", write_doc(tmp_path, "deep.json", doc)]
+    assert_exits_2_within_5s(argv)
+
+
+def assert_exits_2_within_5s(argv):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -281,6 +285,27 @@ def test_depth_cap_exits_2_in_bounded_time(tmp_path, argv, doc):
         [sys.executable, "-m", "fqlin.cli", *argv], capture_output=True, text=True, env=env, timeout=5
     )
     assert out.returncode == 2 and out.stderr.startswith("error: "), out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau", "--p", "2", "x*t", "--j", "100000000"],
+        ["tau", "--p", "2", "x*t", "--j", "-100000000"],
+        ["bracket", "--p", "2", "--k", "100000000"],
+        ["bracket", "--p", "2", "--k", "-100000000"],
+        ["bracket", "--p", "65537", "--k", "1024"],
+        ["power", "--p", "2", "t + x*t^[q^1]", "--k", "100000000", "--order", "3"],
+        ["add", "--p", "1000000000000000003", "x", "x"],
+        ["add", "--p", "2", "--s", "300", "x", "x"],
+    ],
+    ids=["tau-j", "tau-negative-j", "bracket-k", "bracket-negative-k", "bracket-large-q", "power-k",
+         "field-p", "field-degree"],
+)
+def test_size_caps_exit_2_in_bounded_time(argv):
+    """Twist counts, bracket indices and powers with q^|k| > 2^1024, and
+    fields with more than 2^32 elements, are refused before the work."""
+    assert_exits_2_within_5s(argv)
 
 
 def test_precondition_exit_code(tmp_path):

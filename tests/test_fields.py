@@ -72,6 +72,20 @@ def test_bad_configs_rejected():
         FieldConfig(p=2, v=2, modulus=(1, 1, 1, 1))  # wrong degree
 
 
+def test_field_and_twist_bounds():
+    # at most 2^32 elements, refused before the primality test or the modulus search
+    for kwargs in ({"p": 1000000000000000003}, {"p": 2, "s": 300}, {"p": 2, "v": 129}, {"p": 65537, "v": 2}):
+        with pytest.raises(ValidationError, match="more than 2"):
+            FieldConfig(**kwargs)
+    assert FieldConfig(p=65537).order == 65537
+    # q^|k| <= 2^1024
+    for cfg, bound in ((F2, 1024), (F3, 646), (F4, 512), (FieldConfig(p=65537), 63)):
+        assert cfg.max_twist == bound
+        cfg.check_twist(-bound, "k")
+        with pytest.raises(ValidationError, match=rf"needs \|k\| <= {bound}"):
+            cfg.check_twist(bound + 1, "k")
+
+
 def test_f4_generator_table():
     g = F4.gen()
     assert (g * g).coords == (1, 1)  # g^2 = g + 1

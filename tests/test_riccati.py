@@ -61,13 +61,16 @@ def step_defect(prob, c, a, l):
     return alpha * w - beta * a[l + 1] - step_rhs(prob, c, a, l)
 
 
-def admissible_problem(data, cfg, branch="zero"):
-    """lambda with valuation exactly 1/q^2; the remaining data sits strictly
-    above the floor, which keeps every step in the linear-residue regime
-    where no scalar-field extension can be needed."""
+def admissible_problem(data, cfg, branch="zero", inexact=False):
+    """lambda with valuation exactly 1/q^2, and with ``inexact`` sometimes
+    known only to a precision; the remaining data sits strictly above the
+    floor, which keeps every step in the linear-residue regime where no
+    scalar-field extension can be needed."""
     q = cfg.q
     floor = Fraction(1, q**2)
     lam = PerfSeries.x_pow(cfg, floor, data.draw(elems(cfg, nonzero=True)))
+    if inexact and data.draw(st.booleans()):
+        lam = lam + PerfSeries.zero(cfg, prec=floor + data.draw(st.integers(1, 3)))
     p = {}
     for k in data.draw(st.sets(st.integers(1, 2), max_size=2)):
         exp = floor + data.draw(st.integers(1, 2))
@@ -140,11 +143,36 @@ def test_branch_nonzero_odd_characteristic():
     assert (a[0].root_q() + a[0]).is_zero()
 
 
+# the zero branch over F_2 and F_3, and the nonzero branch, which seeds a_0
+# at index 0 of the multinomial table, over F_4 and F_9 scalars (q = 2, 3)
+BRANCH_CASES = [(F2, "zero"), (F3, "zero"), (F4_OVER_F2, "nonzero"), (F9_OVER_F3, "nonzero")]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"p": 2}, {"p": 2, "v": 2}, {"p": 2, "s": 2}, {"p": 2, "v": 3}, {"p": 3}, {"p": 3, "v": 2},
+     {"p": 3, "s": 2}, {"p": 3, "v": 3}, {"p": 5}, {"p": 5, "v": 2}, {"p": 7}, {"p": 13, "s": 2}],
+)
+def test_nonzero_a0_matches_enumeration(kwargs):
+    # a_0 is the lexicographically least nonzero root of a^{1/q} + a = 0,
+    # found here by enumerating the field (test-local)
+    cfg = FieldConfig(**kwargs)
+    roots = [e for e in cfg.elements() if not e.is_zero() and e.pow_q(-1) == -e]
+    prob = RiccatiProblem(PerfSeries.x_pow(cfg, Fraction(1, cfg.q**2)), branch="nonzero")
+    if not roots:
+        with pytest.raises(NeedsFieldExtension, match="Riccati a_0") as info:
+            solve_riccati(prob, 0)
+        assert info.value.required_degree == 2
+    else:
+        _, a = solve_riccati(prob, 0)
+        assert a == [PerfSeries.constant(cfg, roots[0])]
+
+
 @given(st.data())
 @settings(max_examples=25, deadline=None)
 def test_per_step_equation_residual(data):
-    cfg = data.draw(st.sampled_from([F2, F3]))
-    prob = admissible_problem(data, cfg)
+    cfg, branch = data.draw(st.sampled_from(BRANCH_CASES))
+    prob = admissible_problem(data, cfg, branch, inexact=True)
     xprec = Fraction(10)
     c, a = solve_riccati(prob, 4, xprec=xprec)
     for l in range(4):
@@ -155,8 +183,8 @@ def test_per_step_equation_residual(data):
 @given(st.data())
 @settings(max_examples=25, deadline=None)
 def test_full_residual_vanishes(data):
-    cfg = data.draw(st.sampled_from([F2, F3]))
-    prob = admissible_problem(data, cfg)
+    cfg, branch = data.draw(st.sampled_from(BRANCH_CASES))
+    prob = admissible_problem(data, cfg, branch, inexact=True)
     order = 4
     c, a = solve_riccati(prob, order, xprec=Fraction(10))
     y = riccati_series(c, a, cfg)
@@ -247,6 +275,29 @@ def test_hensel_iteration_count_small():
     for entry in trace:
         for step in entry["steps"]:
             assert len(step["residuals"]) <= 10
+
+
+def test_inexact_step_claims_only_determined_digits():
+    # a Hensel step whose residual is zero only modulo a precision below the
+    # target once returned a_2 = x^11 + O(x^30), while every exact completion
+    # of the inputs has nonzero terms at x^{59/3}, x^25, x^27, x^{85/3}, x^29
+    e = F9_OVER_F3.elem
+    lam_terms = [(Fraction(4, 9), e((2, 1))), (Fraction(10, 9), e((0, 1))), (Fraction(16, 9), e((0, 1)))]
+    r0_terms = [(Fraction(34, 9), e((2, 2)))]
+    r1 = PerfSeries(F9_OVER_F3, [(Fraction(34, 9), e((2, 0)))])
+    prob = RiccatiProblem(
+        PerfSeries(F9_OVER_F3, lam_terms, Fraction(28, 9)),
+        r={0: PerfSeries(F9_OVER_F3, r0_terms, Fraction(64, 9)), 1: r1},
+        branch="nonzero",
+    )
+    completion = RiccatiProblem(
+        PerfSeries(F9_OVER_F3, lam_terms), r={0: PerfSeries(F9_OVER_F3, r0_terms), 1: r1}, branch="nonzero"
+    )
+    c, a = solve_riccati(prob, 3, xprec=Fraction(6))
+    c_exact, a_exact = solve_riccati(completion, 3, xprec=Fraction(46))
+    assert (c - c_exact).is_zero()
+    for a_n, exact in zip(a, a_exact):
+        assert (a_n - exact).is_zero()
 
 
 def test_multi_term_lambda():

@@ -241,6 +241,12 @@ def test_multinomial_matches_compositional_power(data):
     zk = z.self_power(k)
     for l in range(k, k + 3):
         assert zk.coeff(l) == multinomial_coeff(l, k, coeffs, cfg)
+    # with an index-0 coefficient the table reads z from index 0, as the
+    # Riccati solver's M_2[l] = sum_{n=0..l} a_n a_{l-n}^{q^n} does
+    coeffs[0] = data.draw(perf_series(cfg, max_terms=1, depth=0, nonzero=True))
+    z2 = CompSeries(cfg, dict(coeffs)).self_power(2)
+    for l in range(5):
+        assert z2.coeff(l) == multinomial_coeff(l, 2, coeffs, cfg)
 
 
 def test_multinomial_two_term_pattern():
