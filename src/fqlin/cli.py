@@ -255,7 +255,9 @@ def build_parser():
     common.add_argument("--s", type=int, help="scalars live in F_{q^s}")
     common.add_argument("--mod", help="modulus coefficients over F_p, ascending, comma-separated")
     common.add_argument("--perf-depth", type=int, help=f"cap exponent denominators at p^E, E <= {MAX_PERF_DEPTH}")
-    common.add_argument("--order", type=non_negative_int, default=INF, help="truncation order N")
+    common.add_argument(
+        "--order", type=non_negative_int, default=INF, help=f"truncation order N with q^N <= 2^{MAX_TWIST_BITS}"
+    )
     common.add_argument("--xprec", help="x-adic precision as num/den_exp, meaning num / p^den_exp")
     common.add_argument("--branch", choices=["zero", "nonzero"], help="Riccati constant-term branch")
     common.add_argument("--check", action="store_true", help="back-substitute and fail on nonzero residual")
@@ -334,6 +336,8 @@ def _required_order(args):
 def _execute(args):
     doc = _load_doc(args)
     field = _resolve_field(args, doc)
+    if args.order != INF:
+        field.check_twist(args.order, "order")  # step i forms q^i: refuse before any work
     call = Call(args, doc, field, _resolve_xprec(args, field))
     command = COMMAND_TABLE[args.command]
     values = []

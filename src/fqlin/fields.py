@@ -26,7 +26,9 @@ otherwise; ``FieldElem``'s own operations above.  The constructor takes
 Precision propagates ultrametrically:
 
 * addition keeps ``min(prec_a, prec_b)``,
-* multiplication keeps ``min(prec_a + val_b, prec_b + val_a)``,
+* multiplication keeps ``min(prec_a + val_b, prec_b + val_a)``, and a
+  twisted sum of the products a * b^{q^e} (``twisted_sum``, which
+  ``__mul__`` runs on one product) keeps the least of theirs,
 * inversion keeps ``prec_a - 2*val_a``,
 * division a / b keeps the precision of the product a * b^{-1}.
 
@@ -680,32 +682,7 @@ class PerfSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
-        a, b = self._terms, other._terms
-        pa, pb = self._prec, other._prec
-        # min(prec_a + val_b, prec_b + val_a), where a missing term means
-        # val = prec and None (exact) absorbs the sum
-        prec = None
-        if pa is not None and (b or pb is not None):
-            prec = pa + (b[0][0] if b else pb)
-        if pb is not None and (a or pa is not None):
-            right = pb + (a[0][0] if a else pa)
-            if prec is None or right < prec:
-                prec = right
-        if not (a and b):
-            return PerfSeries._make(self.field, [], prec)
-        limit = a[-1][0] + b[-1][0] + 1 if prec is None else prec
-        ops = self.field._ops
-        add, mul = ops.add, ops.mul
-        acc = {}
-        for ea, ca in a:
-            for eb, cb in b:
-                e = ea + eb
-                if e >= limit:
-                    break  # b ascends: the rest of the row is past the precision
-                t = mul(ca, cb)
-                acc[e] = add(acc[e], t) if e in acc else t
-        return PerfSeries._make(self.field, _nonzero_sorted(acc), prec)
+        return twisted_sum(self.field, ((self, other, 0),))
 
     def scale(self, elem):
         fld = self.field
@@ -858,6 +835,78 @@ class PerfSeries:
 def _nonzero_sorted(acc):
     """The items of acc (n -> c) with c nonzero, by ascending n."""
     return [(n, c) for n, c in sorted(acc.items()) if c]
+
+
+def twisted_sum(field, triples):
+    """The sum of a * b^{q^e} over the triples (a, b, e), as one series.
+
+    Terms and precision equal those of adding ``a * b.frobenius(e)`` up left
+    to right, from the exact zero.  The precision is the least of the
+    products' (the multiplication rule on a and the twisted b), so it is
+    known before any term is formed; every product then adds its terms
+    below it into one accumulator, which is sorted once.  b is twisted on
+    the fly: exponents times q^e and, on an extension field, ``ops.frob``
+    on the codes.  A negative e (a root) goes through ``frobenius`` first,
+    which reports an exponent that leaves the grid."""
+    q, v = field.q, field.v
+    prec = None  # None is exact until a product says otherwise
+    top = 0  # past the last exponent of any exact product
+    work = []  # (a terms, twisted b terms) of every product with terms
+    for a, b, e in triples:
+        if e < 0:
+            b, e = b.frobenius(e), 0
+        a._check(b)
+        if a.field is not field and a.field != field:
+            raise ValidationError("mixed-field series arithmetic")
+        at, bt, pa, pb = a._terms, b._terms, a._prec, b._prec
+        qe = q**e
+        if pb is not None:
+            pb *= qe
+        # the product's precision min(prec_a + val_b, prec_b + val_a), where a
+        # missing term means val = prec and None (exact) absorbs the sum
+        left = None
+        if pa is not None and (bt or pb is not None):
+            left = pa + (bt[0][0] * qe if bt else pb)
+        if pb is not None and (at or pa is not None):
+            right = pb + (at[0][0] if at else pa)
+            if left is None or right < left:
+                left = right
+        if left is not None and (prec is None or left < prec):
+            prec = left
+        if at and bt:
+            frob = field._ops.frob(e * v) if e else None
+            if frob is not None:
+                bt = [(n * qe, frob(c)) for n, c in bt]
+            elif qe != 1:
+                bt = [(n * qe, c) for n, c in bt]
+            work.append((at, bt))
+            top = max(top, at[-1][0] + bt[-1][0] + 1)
+    limit = top if prec is None else prec
+    acc = {}
+    if field.degree == 1:  # residues: sum the integer products, reduce once
+        for at, bt in work:
+            for ea, ca in at:
+                stop = limit - ea
+                for eb, cb in bt:
+                    if eb >= stop:
+                        break  # bt ascends: the rest of the row is past the precision
+                    n = ea + eb
+                    acc[n] = acc.get(n, 0) + ca * cb
+        p = field.p
+        terms = [(n, c % p) for n, c in sorted(acc.items()) if c % p]
+        return PerfSeries._make(field, terms, prec)
+    ops = field._ops
+    add, mul = ops.add, ops.mul
+    for at, bt in work:
+        for ea, ca in at:
+            stop = limit - ea
+            for eb, cb in bt:
+                if eb >= stop:
+                    break
+                n = ea + eb
+                t = mul(ca, cb)
+                acc[n] = add(acc[n], t) if n in acc else t
+    return PerfSeries._make(field, _nonzero_sorted(acc), prec)
 
 
 def valuation(a):

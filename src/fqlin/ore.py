@@ -36,7 +36,7 @@ from .errors import (
     ZeroInput,
 )
 from .carlitz import tau_power
-from .fields import INF
+from .fields import INF, twisted_sum
 from .series import CompSeries
 
 
@@ -129,11 +129,8 @@ def ore_left_multiple(a, b, order=INF):
     )
     quot = {}
     for k in range(k0, cap + 1):
-        s = target.coeff(k + l)
-        for i, qi in quot.items():
-            bc = b.terms.get(k + l - i)
-            if bc is not None:
-                s = s - qi * bc.frobenius(i)
+        known = [(qi, b.terms[k + l - i], i) for i, qi in quot.items() if k + l - i in b.terms]
+        s = target.coeff(k + l) - twisted_sum(a.field, known)
         if s.is_exact_zero():
             continue
         quot[k] = s * beta_inv.frobenius(k)

@@ -18,6 +18,10 @@ twist, available because the scalars are perfected.  Exact zero
 coefficients are never stored; zero-to-x-precision coefficients are kept
 because they still carry information.
 
+Each such coefficient, and each entry M_k[m] of the power table below, is
+one twisted sum of products (``fields.twisted_sum``), accumulated in one
+pass and cut at its precision.
+
 A growth certificate for u is the number kappa >= 0 with
 v(c_k) >= -kappa * q^k for every known coefficient.  Evaluation at a point
 t0 with v(t0) > kappa then converges, and cutting the sum after index N
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OutsideConvergenceDomain, ValidationError
-from .fields import INF, PerfSeries, valuation
+from .fields import INF, PerfSeries, twisted_sum, valuation
 
 
 class CompSeries:
@@ -140,18 +144,20 @@ class CompSeries:
 
     # -- composition ----------------------------------------------------------
 
-    def compose(self, other):
+    def compose(self, other, order=INF):
+        """self o other, cut at ``order``: the same series as
+        ``self.compose(other).truncate(order)``, without forming the
+        coefficients above the cut.  Each coefficient is one twisted sum."""
         self._check(other)
-        order = min(self.order + other.min_index(), other.order + self.min_index())
-        acc = {}
+        order = min(order, self.order + other.min_index(), other.order + self.min_index())
+        sums = {}  # l -> the triples (a_n, b_j, n) with n + j = l
         for n, a_n in self.terms.items():
             for j, b_j in other.terms.items():
-                l = n + j
-                if l > order:
-                    continue
-                part = a_n * b_j.frobenius(n)
-                acc[l] = acc[l] + part if l in acc else part
-        return CompSeries(self.field, acc, order)
+                if n + j > order:
+                    break  # the indices of other ascend
+                sums.setdefault(n + j, []).append((a_n, b_j, n))
+        fld = self.field
+        return CompSeries(fld, {l: twisted_sum(fld, triples) for l, triples in sums.items()}, order)
 
     def self_power(self, k):
         """k-fold composition of self with itself (k >= 0)."""
@@ -197,9 +203,7 @@ class CompSeries:
             raise OutsideConvergenceDomain(
                 f"v(t0) = {vt0.value} is not above kappa = {cert.kappa}{detail}"
             )
-        total = PerfSeries.zero(self.field)
-        for k, c_k in self.terms.items():
-            total = total + c_k * t0.frobenius(k)
+        total = twisted_sum(self.field, [(c_k, t0, k) for k, c_k in self.terms.items()])
         tail = self.field.q ** (self.order + 1) * (vt0.value - cert.kappa)
         return total.truncate(min(total.prec, tail))
 
@@ -249,13 +253,14 @@ class _PowerTable:
     """M_k[m], the index-m coefficient of z^{o k} for z = sum_{n>=lo} c_n t^{q^n},
     with c_n read from the live table ``coeffs``; the lowest index lo is 1,
     or 0 when the solver seeds c_0.  M_0 = t, M_1[m] = c_m and, for k >= 2
-    (z outermost), M_k[m] = sum_{n>=lo} c_n * M_{k-1}[m-n]^{q^n}, which reads
-    c_n for n <= m - (k-1) lo only.  Entries with k >= 2 are kept once
-    computed, so each must involve only c_n already in ``coeffs`` when first
-    asked for.  M_1 is ``coeffs`` itself, where a solver adds its unknown,
-    and is never cached."""
+    (z outermost), M_k[m] = sum_{n>=lo} c_n * M_{k-1}[m-n]^{q^n}, one
+    ``twisted_sum``, which reads c_n for n <= m - (k-1) lo only.  Entries
+    with k >= 2 are kept once computed, so each must involve only c_n
+    already in ``coeffs`` when first asked for.  M_1 is ``coeffs`` itself,
+    where a solver adds its unknown, and is never cached."""
 
     def __init__(self, field, coeffs, lo):
+        self.field = field
         self.coeffs = coeffs
         self.lo = lo
         self.kept = {}  # (k, m) -> M_k[m] for k >= 2
@@ -269,15 +274,12 @@ class _PowerTable:
             return self.coeffs.get(m, self.zero)
         entry = self.kept.get((k, m))
         if entry is None:
-            entry = self.zero
+            triples = []
             for n in range(self.lo, m - (k - 1) * self.lo + 1):
                 c_n = self.coeffs.get(n)
-                if c_n is None:
-                    continue
-                lower = self.get(k - 1, m - n)
-                if not lower.is_exact_zero():
-                    entry = entry + c_n * lower.frobenius(n)
-            self.kept[k, m] = entry
+                if c_n is not None:
+                    triples.append((c_n, self.get(k - 1, m - n), n))
+            entry = self.kept[k, m] = twisted_sum(self.field, triples)
         return entry
 
 

@@ -62,6 +62,15 @@ number of iterations that contraction needs to reach the working
 precision, and w keeps only the digits its last residual determines.
 Each step divides by the binomial alpha exactly (``PerfSeries.div``);
 1/alpha is never formed.
+
+``residual`` back-substitutes a candidate into the original equation by
+plain composition, independently of ``_recursion`` and its power table.
+It builds the powers z, z o z, z o (z o z), ... once, as one chain with z
+outermost as in ``self_power``, and cuts each at the highest index that
+the residual at its order reads: the order itself when min_index(z) >= 0,
+plus the margin -min_index(z) (K - k) for z^{o k} of a candidate with
+negative indices, K the highest power.  The cut drops no coefficient and
+moves no order marker that the result shows.
 """
 
 from __future__ import annotations
@@ -78,7 +87,7 @@ from .errors import (
     ValidationError,
     ZeroInput,
 )
-from .fields import DEFAULT_XPREC, INF, PerfSeries, den_exp, least_factor_degree, valuation
+from .fields import DEFAULT_XPREC, INF, PerfSeries, den_exp, least_factor_degree, twisted_sum, valuation
 from .ore import factor_unit
 from .series import CompSeries, GrowthCertificate, _PowerTable, growth_certificate
 
@@ -117,12 +126,7 @@ def _recursion(fld, terms, indices, shift, step, a0=None):
     powers = _PowerTable(fld, coeffs, 1 if a0 is None else 0)
     for i in indices:
         e = i + shift
-        s = PerfSeries.zero(fld)
-        for k, n, a in terms:
-            m = powers.get(k, e - n)
-            if not m.is_exact_zero():
-                s = s + a * m.frobenius(n)
-        c = step(i, s)
+        c = step(i, twisted_sum(fld, [(a, powers.get(k, e - n), n) for k, n, a in terms]))
         if not c.is_exact_zero():
             coeffs[i] = c
     return coeffs
@@ -208,6 +212,7 @@ class OdeProblem:
             j, k = int(j), int(k)
             if j < 0 or k < 0:
                 raise ValidationError("coefficient indices (j, k) must be >= 0")
+            self.field.check_twist(j, "j")
             _coerce_coeff(self.field, coef, f"a[{j},{k}]")
             if not coef.is_exact_zero():
                 clean[(j, k)] = coef
@@ -460,24 +465,35 @@ def riccati_series(c, a, field):
 # residuals
 
 
+def _self_powers(z, top, order):
+    """z^{o k} for k = 0..top from one chain z, z o z, z o (z o z), ..., each
+    cut at the highest index that the residual at ``order`` reads (see the
+    module docstring)."""
+    z.field.check_twist(top, "k")
+    low = z.min_index()
+    margin = -low if low < 0 else 0
+    powers = [CompSeries.identity(z.field)]
+    if top >= 1:
+        powers.append(z.truncate(order + margin * (top - 1)))
+    for k in range(2, top + 1):
+        powers.append(z.compose(powers[-1], order + margin * (top - k)))
+    return powers
+
+
 def _residual_implicit(prob, z, order):
+    powers = _self_powers(z, len(prob.P) - 1, order)
     total = prob.P[0]
-    for k, p_k in enumerate(prob.P):
-        if k == 0:
-            continue
-        total = total + p_k.compose(z.self_power(k))
+    for k, p_k in enumerate(prob.P[1:], start=1):
+        total = total + p_k.compose(powers[k], order)
     return total.truncate(order)
 
 
-def _ode_rhs(prob, z):
-    total = CompSeries.zero(prob.field)
-    for (j, k), a_jk in prob.a.items():
-        total = total + tau_power(z.self_power(k), j).scale_left(a_jk)
-    return total
-
-
 def _residual_ode(prob, z, order):
-    return (carlitz_d(z) - _ode_rhs(prob, z)).truncate(order)
+    powers = _self_powers(z, max((k for _, k in prob.a), default=0), order)
+    rhs = CompSeries.zero(prob.field)
+    for (j, k), a_jk in prob.a.items():
+        rhs = rhs + tau_power(powers[k], j).scale_left(a_jk)
+    return (carlitz_d(z) - rhs).truncate(order)
 
 
 def _residual_riccati(prob, y, order):

@@ -308,6 +308,37 @@ def test_size_caps_exit_2_in_bounded_time(argv):
     assert_exits_2_within_5s(argv)
 
 
+ODE_X = {"field": {"p": 2}, "a": [{"j": 0, "k": 0, "coef": "x"}]}
+FAR_J = {"j": 100000000, "k": 0, "coef": "x^-1"}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["solve-ode", "--order", "100000000"], ODE_X),
+        (["solve-implicit", "--order", "100000000", "-i", "fixtures/solve-implicit-golden/input.json"], None),
+        (["invert", "--p", "2", "t + x*t^[q^1]", "--order", "100000000"], None),
+        (["solve-ode", "--order", "1025"], ODE_X),
+        (["solve-ode", "--order", "3"], {**ODE_X, "a": ODE_X["a"] + [FAR_J]}),
+        (["solve-ode", "--order", "3", "--check"], {**ODE_X, "a": ODE_X["a"] + [FAR_J]}),
+    ],
+    ids=["ode-order", "implicit-order", "invert-order", "order-past-bound", "ode-j", "ode-j-check"],
+)
+def test_order_and_ode_index_exit_2_in_bounded_time(tmp_path, monkeypatch, argv, doc):
+    """A finite --order N with q^N > 2^1024, and an ODE index j with
+    q^j > 2^1024, are refused before the work, with or without --check."""
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    if doc is not None:
+        argv = argv + ["-i", write_doc(tmp_path, "doc.json", doc)]
+    assert_exits_2_within_5s(argv)
+
+
+def test_order_at_the_bound_is_accepted():
+    # q = 2^32 allows N <= 32, and the bound is checked on q, not on p
+    assert main(["invert", "--p", "2", "--v", "32", "t", "--order", "32"]) == 0
+    assert main(["invert", "--p", "2", "--v", "32", "t", "--order", "33"]) == 2
+
+
 def test_precondition_exit_code(tmp_path):
     doc = {"field": {"p": 2}, "P": ["t^[q^1]", "0", "t"]}
     assert main(["solve-implicit", "-i", write_doc(tmp_path, "imp.json", doc), "--order", "4"]) == 3

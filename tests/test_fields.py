@@ -23,7 +23,7 @@ from fqlin import (
     ValidationError,
     valuation,
 )
-from fqlin.fields import DEFAULT_XPREC
+from fqlin.fields import DEFAULT_XPREC, twisted_sum
 from fqlin.jsonio import decode_exp, encode_exp
 from fqlin.textio import parse_series
 
@@ -631,3 +631,38 @@ def test_div_equals_product_with_inverse(data):
         st.one_of(st.none(), exponents(cfg, depth=2 * cfg.v, span=40), st.sampled_from(off_grid))
     )
     assert _outcome(lambda: x.div(d, prec=prec)) == _outcome(lambda: x * d.inv(prec=prec))
+
+
+F2_17 = FieldConfig(p=2, s=17)  # 2^17 elements: FieldElem coefficients inside series
+F3_SHALLOW = FieldConfig(p=3, perf_depth=1)  # a q-th root of x^{1/3} leaves the grid
+
+
+@given(st.data())
+@settings(max_examples=250)
+def test_twisted_sum_equals_products_added_left_to_right(data):
+    cfg = data.draw(st.sampled_from([F2, F3, F3_SHALLOW, F4, F9, F4_OVER_F2, F2_17]))
+    depth = min(2, cfg.perf_depth)
+    series = st.one_of(
+        perf_series(cfg, depth=depth, exact=True),
+        perf_series(cfg, depth=depth, exact=False),
+        st.just(PerfSeries.zero(cfg, prec=data.draw(exponents(cfg, depth=depth)))),
+    )
+    triples = data.draw(
+        st.lists(st.tuples(series, series, st.sampled_from([-1, 0, 1, 2, 3])), max_size=4)
+    )
+
+    def reference():
+        """The products added up left to right by the rules above."""
+        total = ({}, None)
+        for a, b, e in triples:
+            b.frobenius(e)  # raises where a root leaves the exponent grid
+            total = ref_add(total, ref_mul(ref_of(a), ref_frobenius(cfg, ref_of(b), e)))
+        return total
+
+    try:
+        want = reference()
+    except KernelError as exc:
+        with pytest.raises(type(exc)):
+            twisted_sum(cfg, triples)
+    else:
+        assert_matches(twisted_sum(cfg, triples), want)

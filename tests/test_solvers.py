@@ -349,3 +349,71 @@ def test_growth_certificate_reflects_poles():
     z, cert = solve_ode(prob, 3)
     assert cert.kappa > 0
     assert cert == growth_certificate(z)
+
+
+# -- residuals ----------------------------------------------------------------
+
+
+def per_k_residual(prob, z, order):
+    """The residual with every z^{o k} formed on its own by ``self_power``
+    and nothing cut before the end (test-local)."""
+    from fqlin import carlitz_d, tau_power
+
+    if isinstance(prob, ImplicitProblem):
+        total = prob.P[0]
+        for k, p_k in enumerate(prob.P[1:], start=1):
+            total = total + p_k.compose(z.self_power(k))
+        return total.truncate(order)
+    rhs = CompSeries.zero(prob.field)
+    for (j, k), a_jk in prob.a.items():
+        rhs = rhs + tau_power(z.self_power(k), j).scale_left(a_jk)
+    return (carlitz_d(z) - rhs).truncate(order)
+
+
+@pytest.mark.parametrize("low", [-1, 0, 1])
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_residual_matches_per_k_self_powers(low, data):
+    # candidates from index low (so min_index() < 0, = 0 or > 0), exact or
+    # known to an order, and residual orders up to three past the candidate's
+    cfg = data.draw(st.sampled_from([F2, F3]))
+    coef = perf_series(cfg, max_terms=2, depth=1, exact=data.draw(st.booleans()))
+    indices = data.draw(st.sets(st.integers(low + 1, low + 3), max_size=2))
+    z_order = data.draw(st.sampled_from([INF, low + 3, low + 4]))
+    z = CompSeries(cfg, {i: data.draw(coef) for i in {low} | indices}, z_order)
+    scalar = perf_series(cfg, max_terms=2, depth=0, nonzero=True)
+    if data.draw(st.booleans()):
+        p0 = CompSeries(cfg, {i: data.draw(scalar) for i in data.draw(st.sets(st.integers(1, 3), max_size=2))})
+        p1 = CompSeries(cfg, {0: PerfSeries.constant(cfg, data.draw(elems(cfg, nonzero=True))), 1: data.draw(scalar)})
+        rest = [CompSeries(cfg, {data.draw(st.integers(0, 2)): data.draw(scalar)}) for _ in range(data.draw(st.integers(0, 2)))]
+        prob = ImplicitProblem((p0, p1, *rest))
+    else:
+        support = data.draw(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=1, max_size=3))
+        prob = OdeProblem(cfg, {jk: data.draw(scalar) for jk in support})
+    order = data.draw(st.integers(0, (low + 4 if z_order == INF else z_order) + 3))
+    assert residual(prob, z, order) == per_k_residual(prob, z, order)
+
+
+def test_residual_builds_each_power_once(monkeypatch):
+    # one chain z, z o z, z o (z o z): 2 compositions for the powers, plus one
+    # per P_k; the oracle never reads the solvers' power table
+    import fqlin.series
+    import fqlin.solvers
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("residual reached the solvers' recursion")
+
+    for module, name in ((fqlin.solvers, "_recursion"), (fqlin.series, "multinomial_coeff")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(fqlin.series._PowerTable, "get", refuse)
+    calls = []
+    compose = CompSeries.compose
+    monkeypatch.setattr(CompSeries, "compose", lambda *args, **kw: calls.append(1) or compose(*args, **kw))
+    one = PerfSeries.one(F2)
+    t = CompSeries.identity(F2)
+    z = CompSeries(F2, {i: PerfSeries.x_pow(F2, i) for i in range(1, 40)})
+    residual(ImplicitProblem((CompSeries(F2, {1: one}), t, t, t)), z, 5)
+    assert len(calls) == 5
+    calls.clear()
+    residual(OdeProblem(F2, {(0, 0): one, (1, 1): one, (0, 2): one, (1, 3): one}), z, 5)
+    assert len(calls) == 2
