@@ -1,27 +1,28 @@
 """Exact arithmetic for the coefficient field F_{q^s}((x))^perf.
 
 The scalar tower is built in two layers.  The residue field F_{q^s} with
-q = p^v is realised as F_p[g]/(modulus); its public element type
-``FieldElem`` holds coordinate tuples over F_p (constant coordinate first).
-On top of it sit perfected Laurent series: finite sums of monomials c*x^e
-whose exponents e live in Z[1/p] (denominators limited to p^E for a
+q = p^v is realised as F_p[g]/(modulus); an element is an int code, its
+coordinates over F_p packed base p with the constant coordinate least
+significant (so 0 is zero and 1 is one), and the public ``FieldElem`` wraps
+one.  On top of it sit perfected Laurent series: finite sums of monomials
+c*x^e whose exponents e live in Z[1/p] (denominators limited to p^E for a
 configurable depth E), together with an x-adic precision marker.  A series
 with precision ``prec`` is known exactly below x^prec and unknown from
-x^prec on; an exactly known value has precision ``INF``.  All values
-are immutable after construction and all arithmetic is exact, so equal
-inputs always produce identical outputs.
+x^prec on; an exactly known value has precision ``INF``.  All values are
+immutable after construction and all arithmetic is exact, so equal inputs
+always produce identical outputs.
 
 Inside a series an exponent is stored as the integer n = e * p^E (E is
-fixed per field), the precision as such an integer or ``None`` for "exact".
-A coefficient is stored as an ``int`` code over a prime field and up to
-order 2^16: its coordinates packed base p, constant coordinate least
-significant, so 0 is zero.  Above 2^16 it is the ``FieldElem`` itself.
-The field supplies the coefficient arithmetic (``FieldConfig._ops``, built
-on first use): residues mod p over a prime field; log/antilog tables up to
-order 2^16, with XOR addition in characteristic 2 and a Zech table
-otherwise; ``FieldElem``'s own operations above.  The constructor takes
-``FieldElem``s, and ``terms``, ``coeff``, ``leading()`` and ``prec`` build
-``FieldElem``s and ``Fraction``s (or ``INF``) on each access.
+fixed per field), the precision as such an integer or ``None`` for "exact",
+and a coefficient as its bare code.  The field supplies the arithmetic on
+codes (``FieldConfig._ops``, built on first use): residues mod p over a
+prime field; log/antilog tables up to order 2^16, with XOR addition in
+characteristic 2 and a Zech table otherwise; above that, coordinates in
+w-bit slots of one int, a product being one int multiply folded back by the
+modulus (Kronecker substitution on one element), which also builds the
+tables.  The constructor takes ``FieldElem``s, and ``terms``, ``coeff``,
+``leading()`` and ``prec`` build ``FieldElem``s and ``Fraction``s (or
+``INF``) on each access.
 
 Precision propagates ultrametrically:
 
@@ -91,6 +92,18 @@ def _is_prime(n):
     return True
 
 
+def _power(mul, c, e, one=1):
+    """c to the power e >= 0 under the product mul, by square and multiply
+    (one is the unit: the code 1 by default)."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, c)
+        c = mul(c, c)
+        e >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # dense polynomials over a residue field (FieldElem coefficient lists,
 # constant first): irreducibility of moduli over F_p and the extension
@@ -141,17 +154,11 @@ def least_factor_degree(f):
     deg = len(f) - 1
     fld = f[-1].field
     zero, one = fld.zero(), fld.one()
-    if f[-1] != one:
-        lead_inv = f[-1].inverse()
-        f = [c * lead_inv for c in f]  # monic: every remainder mod f skips the inverse
+    lead_inv = f[-1].inverse()
+    f = [c * lead_inv for c in f]  # monic: every remainder mod f skips the inverse
     frob = [zero, one]  # w^{|F|^d} mod f, starting from w
     for d in range(1, deg // 2 + 1):
-        power, base, frob = fld.order, frob, [one]
-        while power:
-            if power & 1:
-                frob = _poly_mulmod(frob, base, f)
-            base = _poly_mulmod(base, base, f)
-            power >>= 1
+        frob = _power(lambda a, b: _poly_mulmod(a, b, f), frob, fld.order, [one])
         probe = list(frob) + [zero, zero]
         probe[1] = probe[1] - one
         if len(_poly_gcd(f, probe)) > 1:
@@ -226,15 +233,9 @@ class FieldConfig:
                 )
             if degree > 1 and not _is_irreducible(mod, FieldConfig(self.p)):
                 raise ValidationError(f"modulus {mod} is reducible over F_{self.p}")
-        # tables kept on the instance, so no multiply hashes the dataclass:
-        # the exponent scale p^perf_depth, the reduction rows, and the
-        # Frobenius columns by k, filled on first use
+        # the exponent scale p^perf_depth, kept on the instance so that no
+        # series operation hashes the dataclass
         object.__setattr__(self, "_scale", self.p**self.perf_depth)
-        object.__setattr__(self, "_rows", _reduction_rows(self))
-        object.__setattr__(self, "_frobenius", {})
-        # series coefficients are int codes up to TABLE_ORDER and over a
-        # prime field, FieldElems otherwise
-        object.__setattr__(self, "_coded", degree == 1 or self.p**degree <= TABLE_ORDER)
 
     @property
     def q(self):
@@ -268,19 +269,20 @@ class FieldConfig:
     # -- element constructors ------------------------------------------------
 
     def elem(self, value):
+        """A FieldElem from itself, an integer of F_p or a coordinate sequence
+        (constant coordinate first)."""
         if isinstance(value, FieldElem):
             if value.field is not self and value.field != self:
                 raise ValidationError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            coords = [value % self.p] + [0] * (self.degree - 1)
-            return FieldElem(self, tuple(coords))
-        coords = tuple(int(c) % self.p for c in value)
+            return FieldElem(self, value % self.p)
+        coords = [int(c) % self.p for c in value]
         if len(coords) != self.degree:
             raise ValidationError(
                 f"expected {self.degree} coordinates, got {len(coords)}"
             )
-        return FieldElem(self, coords)
+        return FieldElem(self, sum(c * self.p**i for i, c in enumerate(coords)))
 
     def zero(self):
         return self.elem(0)
@@ -292,26 +294,12 @@ class FieldConfig:
         if self.degree == 1:
             # g is the root of a degree-one modulus, i.e. a prime-field scalar
             return self.elem(-self.modulus[0])
-        return self.elem([0, 1] + [0] * (self.degree - 2))
+        return FieldElem(self, self.p)
 
     def elements(self):
         """All field elements in ascending lexicographic coordinate order."""
         for coords in product(range(self.p), repeat=self.degree):
-            yield FieldElem(self, coords)
-
-    def _encode(self, elem):
-        if not self._coded:
-            return elem
-        code = 0
-        for c in reversed(elem.coords):
-            code = code * self.p + c
-        return code
-
-    def _decode(self, code):
-        if not self._coded:
-            return code
-        p = self.p
-        return FieldElem(self, tuple(code // p**i % p for i in range(self.degree)))
+            yield self.elem(coords)
 
     @cached_property
     def _ops(self):
@@ -328,15 +316,17 @@ def _reduction_rows(cfg):
     return tuple(rows)
 
 
-# arithmetic on series coefficients: ``inv`` takes a nonzero one, and
-# ``frob(k)`` is the map y -> y^{p^k}, or None for the identity
+# arithmetic on codes: ``inv`` takes a nonzero code, and ``frob(k)`` is the
+# map y -> y^{p^k}, or None for the identity
 _CodeOps = namedtuple("_CodeOps", "add neg mul inv frob")
 TABLE_ORDER = 2**16  # the largest field order with log/Zech tables
 
 
 def _code_ops(cfg):
-    p, n, order = cfg.p, cfg.degree, cfg.order
-    if n == 1:
+    """Residues mod p over a prime field, log/Zech tables up to TABLE_ORDER
+    and slot-packed coordinates above."""
+    p = cfg.p
+    if cfg.degree == 1:
         return _CodeOps(
             operator.xor if p == 2 else lambda a, b: (a + b) % p,
             lambda a: -a % p,
@@ -344,26 +334,81 @@ def _code_ops(cfg):
             lambda a: pow(a, p - 2, p),
             lambda k: None,
         )
-    if not cfg._coded:  # the coefficients are FieldElems
-        pow_p = lambda k: None if k % n == 0 else lambda c: c.pow_p(k)
-        return _CodeOps(operator.add, operator.neg, operator.mul, FieldElem.inverse, pow_p)
-    enc, dec = cfg._encode, cfg._decode
+    ops = _coordinate_ops(cfg)
+    return ops if cfg.order > TABLE_ORDER else _table_ops(cfg, ops)
+
+
+def _coordinate_ops(cfg):
+    """Arithmetic on codes through their coordinates in w-bit slots of one
+    int.  Two half-code tables (low and high base-p digits) give the slots
+    of a code, a product is one int multiply, and its slots n .. 2n-2 fold
+    back with the reduction rows before each slot is taken mod p."""
+    p, n = cfg.p, cfg.degree
+    w = ((2 * n - 1) * (p - 1) ** 2).bit_length()  # holds a slot until the final mod p
+    slot, top, half, split = (1 << w) - 1, n * w, n // 2, p ** (n // 2)
+
+    def halves(cols):
+        """Half-code tables of the F_p-linear map sending g^i to the slots
+        cols[i]: the image of c is low[c % split] + high[c // split]."""
+        tables = [[0], [0]]
+        for i, col in enumerate(cols):
+            tables[i >= half] = [t + d * col for d in range(p) for t in tables[i >= half]]
+        return tables
+
+    low, high = halves([1 << (w * i) for i in range(n)])
+    rows = [sum(c << (w * i) for i, c in enumerate(row)) for row in _reduction_rows(cfg)]
+
+    def code(s):
+        """The code of the slots s (at most 2n - 1 of them)."""
+        carry, s, k = s >> top, s & ((1 << top) - 1), 0
+        while carry:
+            s += (carry & slot) % p * rows[k]
+            carry, k = carry >> w, k + 1
+        out = 0
+        for i in range(top - w, -1, -w):
+            out = out * p + (s >> i & slot) % p
+        return out
+
+    def mul(a, b):
+        return code((low[a % split] + high[a // split]) * (low[b % split] + high[b // split]))
+
+    frob = {}
+
+    def frob_map(k):
+        k %= n
+        if k and k not in frob:
+            cols = [_power(mul, p, i * p**k) for i in range(n)]  # (g^i)^{p^k}; g has code p
+            f_low, f_high = halves([low[c % split] + high[c // split] for c in cols])
+            frob[k] = lambda c: code(f_low[c % split] + f_high[c // split])
+        return frob[k] if k else None
+
+    if p == 2:
+        add, neg = operator.xor, lambda a: a
+    else:
+        add = lambda a, b: code(low[a % split] + high[a // split] + low[b % split] + high[b // split])
+        neg = lambda a: code((p - 1) * (low[a % split] + high[a // split]))
+    return _CodeOps(add, neg, mul, lambda a: _power(mul, a, cfg.order - 2), frob_map)
+
+
+def _table_ops(cfg, ops):
+    """Log/antilog tables of a field up to TABLE_ORDER, built with the slot
+    arithmetic ops."""
+    p, n, order = cfg.p, cfg.degree, cfg.order
     # exp[k] = h^k for the primitive h of least code (h^{m/r} != 1 for each
     # prime r | m).  x -> x*h is F_p-linear: each power is the sum of the images
     # of the last one's low and high digits, an XOR in characteristic 2
-    m, split, one = order - 1, p ** (n // 2), cfg.one()
+    m, split = order - 1, p ** (n // 2)
     primes = [r for r in range(2, m + 1) if m % r == 0 and _is_prime(r)]
-    h = next(h for h in map(dec, range(2, order)) if all(h ** (m // r) != one for r in primes))
-    low = [enc(dec(c) * h) for c in range(split)]
-    high = [enc(dec(c * split) * h) for c in range(order // split)]
-    dadd = operator.xor if p == 2 else lambda a, b: enc(dec(a) + dec(b))
+    h = next(h for h in range(2, order) if all(_power(ops.mul, h, m // r) != 1 for r in primes))
+    low = [ops.mul(c, h) for c in range(split)]
+    high = [ops.mul(c * split, h) for c in range(order // split)]
     # log[0] = 2m sends a product with zero, and a Zech sum that cancels,
     # into the zero tail of exp
     powers, log, x = [], [2 * m] * order, 1
     for k in range(m):
         powers.append(x)
         log[x] = k
-        x = dadd(low[x % split], high[x // split])
+        x = ops.add(low[x % split], high[x // split])
     exp = powers * 2 + [0] * (2 * m + 1)
     if p > 2:
         zech = [log[x + 1 if (x + 1) % p else x + 1 - p] for x in powers]  # log(1 + h^k)
@@ -388,19 +433,21 @@ def _code_ops(cfg):
     return _CodeOps(operator.xor if p == 2 else add, neg.__getitem__, mul, inv.__getitem__, frob_table)
 
 
-def _frobenius_columns(cfg, k):
-    """Images of the basis 1, g, ..., g^{n-1} under y -> y^{p^k}."""
-    return tuple((cfg.gen() ** (i * cfg.p**k)).coords for i in range(cfg.degree))
-
-
 class FieldElem:
-    """Element of F_{q^s}, stored as coordinates over F_p."""
+    """Element of F_{q^s}: a wrapped int code, whose arithmetic is the
+    field's (``FieldConfig._ops``); ``coords`` reads its coordinates over
+    F_p, constant coordinate first."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "code")
 
-    def __init__(self, field, coords):
+    def __init__(self, field, code):
         self.field = field
-        self.coords = coords
+        self.code = code
+
+    @property
+    def coords(self):
+        p = self.field.p
+        return tuple(self.code // p**i % p for i in range(self.field.degree))
 
     def _check(self, other):
         if not isinstance(other, FieldElem) or (
@@ -410,99 +457,51 @@ class FieldElem:
 
     def __add__(self, other):
         self._check(other)
-        p = self.field.p
-        return FieldElem(
-            self.field,
-            tuple((a + b) % p for a, b in zip(self.coords, other.coords)),
-        )
+        return FieldElem(self.field, self.field._ops.add(self.code, other.code))
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElem(self.field, tuple((-a) % p for a in self.coords))
+        return FieldElem(self.field, self.field._ops.neg(self.code))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        p = self.field.p
-        n = len(self.coords)
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(self.coords):
-            if ai:
-                for j, bj in enumerate(other.coords):
-                    if bj:
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-        if n == 1:
-            return FieldElem(self.field, (prod[0],))
-        rows = self.field._rows
-        out = prod[:n]
-        for k in range(n, 2 * n - 1):
-            carry = prod[k]
-            if carry:
-                row = rows[k - n]
-                for i in range(n):
-                    out[i] = (out[i] + carry * row[i]) % p
-        return FieldElem(self.field, tuple(out))
-
-    def _pow_small(self, e):
-        """Self to a small non-negative integer power (square and multiply)."""
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FieldElem(self.field, self.field._ops.mul(self.code, other.code))
 
     def __pow__(self, e):
-        if e < 0:
-            return self.inverse()._pow_small(-e)
-        return self._pow_small(e)
+        base = self.inverse() if e < 0 else self
+        return FieldElem(self.field, _power(self.field._ops.mul, base.code, abs(e)))
 
     def inverse(self):
-        if self.is_zero():
+        if not self.code:
             raise DivisionByZero("inverse of zero field element")
-        return self._pow_small(self.field.order - 2)  # Fermat: a^{|F|-1} = 1
+        return FieldElem(self.field, self.field._ops.inv(self.code))
 
     def pow_p(self, e):
         """y -> y^{p^e}; negative e applies the inverse Frobenius."""
-        n = len(self.coords)
-        k = e % n
-        if k == 0:
-            return self
-        cols = self.field._frobenius.get(k)
-        if cols is None:
-            cols = self.field._frobenius[k] = _frobenius_columns(self.field, k)
-        p = self.field.p
-        out = [0] * n
-        for i, ci in enumerate(self.coords):
-            if ci:
-                col = cols[i]
-                for j in range(n):
-                    out[j] = (out[j] + ci * col[j]) % p
-        return FieldElem(self.field, tuple(out))
+        frob = self.field._ops.frob(e)
+        return self if frob is None else FieldElem(self.field, frob(self.code))
 
     def pow_q(self, e):
         """y -> y^{q^e} with q = p^v."""
         return self.pow_p(e * self.field.v)
 
     def is_zero(self):
-        return not any(self.coords)
+        return not self.code
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.code)
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldElem)
             and (other.field is self.field or other.field == self.field)
-            and other.coords == self.coords
+            and other.code == self.code
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.modulus, self.coords))
+        return hash((self.field.p, self.field.modulus, self.code))
 
     def __repr__(self):
         return f"FieldElem{self.coords}"
@@ -553,10 +552,9 @@ class PerfSeries:
     """Finite sum of monomials c*x^e, exponents in Z[1/p], plus precision.
 
     ``_terms`` is a list, never changed after construction, of (n, c) with
-    n = e * p^perf_depth ascending, c a nonzero coefficient (a code, or a
-    ``FieldElem`` above 2^16; decoded only by ``terms``, ``coeff`` and
-    ``leading``) and n below ``_prec``; ``_prec`` is such an integer, or
-    None for exact.
+    n = e * p^perf_depth ascending, c the nonzero int code of a coefficient
+    (wrapped in a ``FieldElem`` only by ``terms``, ``coeff`` and ``leading``)
+    and n below ``_prec``; ``_prec`` is such an integer, or None for exact.
     """
 
     # _prec keeps None for exact: INF there cost 10-13% of riccati and recursion ops/s (int-float compares)
@@ -573,7 +571,7 @@ class PerfSeries:
             n, r = divmod(exp.numerator * scale, exp.denominator)
             if iprec is not None and n >= iprec:
                 continue
-            code = field._encode(field.elem(coeff))
+            code = field.elem(coeff).code
             bucket, key = (off_grid, exp) if r else (merged, n)
             if key in bucket:
                 code = field._ops.add(bucket[key], code)
@@ -618,8 +616,8 @@ class PerfSeries:
     @property
     def terms(self):
         """The (exponent, coefficient) pairs, exponents ascending as Fractions."""
-        scale, dec = self.field._scale, self.field._decode
-        return tuple((Fraction(n, scale), dec(c)) for n, c in self._terms)
+        fld = self.field
+        return tuple((Fraction(n, fld._scale), FieldElem(fld, c)) for n, c in self._terms)
 
     @property
     def prec(self):
@@ -636,7 +634,7 @@ class PerfSeries:
         if not self._terms:
             return None
         n, c = self._terms[0]
-        return Fraction(n, self.field._scale), self.field._decode(c)
+        return Fraction(n, self.field._scale), FieldElem(self.field, c)
 
     def valuation_lb(self):
         """Exact valuation if a term is known, else the precision bound."""
@@ -654,8 +652,8 @@ class PerfSeries:
     def coeff(self, exp):
         exp = Fraction(exp)
         n, r = divmod(exp.numerator * self.field._scale, exp.denominator)
-        c = None if r else dict(self._terms).get(n)
-        return self.field.zero() if c is None else self.field._decode(c)
+        c = 0 if r else dict(self._terms).get(n, 0)
+        return FieldElem(self.field, c)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -686,7 +684,7 @@ class PerfSeries:
 
     def scale(self, elem):
         fld = self.field
-        code, mul = fld._encode(fld.elem(elem)), fld._ops.mul
+        code, mul = fld.elem(elem).code, fld._ops.mul
         terms = [(n, mul(c, code)) for n, c in self._terms] if code else []
         return PerfSeries._make(fld, terms, self._prec)
 
@@ -779,7 +777,7 @@ class PerfSeries:
         its valuation unless an explicit absolute ``prec`` is given.
         """
         fld = self.field
-        return PerfSeries._make(fld, [(0, fld._encode(fld.one()))], None).div(self, prec)
+        return PerfSeries._make(fld, [(0, 1)], None).div(self, prec)
 
     def frobenius(self, e):
         """Raise to the q^e-th power (q-th roots for negative e)."""

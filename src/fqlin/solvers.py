@@ -213,6 +213,7 @@ class OdeProblem:
             if j < 0 or k < 0:
                 raise ValidationError("coefficient indices (j, k) must be >= 0")
             self.field.check_twist(j, "j")
+            self.field.check_twist(k, "k")
             _coerce_coeff(self.field, coef, f"a[{j},{k}]")
             if not coef.is_exact_zero():
                 clean[(j, k)] = coef

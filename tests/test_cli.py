@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fqlin import FieldConfig, parse_comp_series
 from fqlin.cli import main, run_command
+from fqlin.jsonio import decode_exp
 
 from conftest import F2, assert_cs_close
 
@@ -310,6 +312,7 @@ def test_size_caps_exit_2_in_bounded_time(argv):
 
 ODE_X = {"field": {"p": 2}, "a": [{"j": 0, "k": 0, "coef": "x"}]}
 FAR_J = {"j": 100000000, "k": 0, "coef": "x^-1"}
+FAR_K = {"j": 0, "k": 100000000, "coef": "x"}
 
 
 @pytest.mark.parametrize(
@@ -321,12 +324,16 @@ FAR_J = {"j": 100000000, "k": 0, "coef": "x^-1"}
         (["solve-ode", "--order", "1025"], ODE_X),
         (["solve-ode", "--order", "3"], {**ODE_X, "a": ODE_X["a"] + [FAR_J]}),
         (["solve-ode", "--order", "3", "--check"], {**ODE_X, "a": ODE_X["a"] + [FAR_J]}),
+        (["solve-ode", "--order", "3"], {**ODE_X, "a": ODE_X["a"] + [FAR_K]}),
+        (["solve-ode", "--order", "3", "--check"], {**ODE_X, "a": ODE_X["a"] + [FAR_K]}),
     ],
-    ids=["ode-order", "implicit-order", "invert-order", "order-past-bound", "ode-j", "ode-j-check"],
+    ids=["ode-order", "implicit-order", "invert-order", "order-past-bound", "ode-j", "ode-j-check",
+         "ode-k", "ode-k-check"],
 )
 def test_order_and_ode_index_exit_2_in_bounded_time(tmp_path, monkeypatch, argv, doc):
-    """A finite --order N with q^N > 2^1024, and an ODE index j with
-    q^j > 2^1024, are refused before the work, with or without --check."""
+    """A finite --order N with q^N > 2^1024, and an ODE index j or power k
+    with q^j or q^k > 2^1024, are refused before the work, with or without
+    --check."""
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
     if doc is not None:
         argv = argv + ["-i", write_doc(tmp_path, "doc.json", doc)]
@@ -395,3 +402,23 @@ def test_output_file_matches_stdout_document(tmp_path, capsys):
     code = main(["bracket", "--p", "3", "--k", "1"])
     printed = json.loads(capsys.readouterr().out)
     assert on_disk == printed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 7: the ODE certificate takes kappa from the stored coefficients only",
+)
+def test_ode_certificate_rejects_what_higher_orders_reject():
+    """A t0 with v(t0) <= kappa is rejected.  Every t0 that the order-9
+    coefficients of solve-ode-time-change reject, the order-3 certificate
+    must reject too; today it admits t0 = x^{5/2} (kappa = 19/8 against
+    1503/512 at order 9), where the series diverges."""
+    case = str(Path(__file__).resolve().parents[1] / "fixtures" / "solve-ode-time-change" / "input.json")
+    kappa = {}
+    for order in (3, 9):
+        code, out = run_command(["solve-ode", "--order", str(order), "--xprec", "12", "-i", case])
+        assert code == 0
+        kappa[order] = decode_exp(out["result"]["certificate"]["kappa"], 2)
+    v_t0 = Fraction(5, 2)
+    assert v_t0 <= kappa[9]  # rejected by the order-9 coefficients
+    assert v_t0 <= kappa[3] and kappa[3] >= kappa[9]

@@ -1,8 +1,8 @@
 """Residue field and perfected-series arithmetic.
 
-The multiplication oracle used here is naive polynomial multiplication over
-F_p followed by repeated subtraction of shifted multiples of the modulus,
-written independently of the implementation in fqlin.fields.
+The residue-field oracle is sympy's finite-field polynomial toolkit
+(``gf_add``, ``gf_mul``, ``gf_rem``, ``gf_pow_mod``) on coordinate vectors,
+which shares no code with fqlin.fields.
 """
 
 from fractions import Fraction
@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_mul, gf_neg, gf_pow_mod, gf_rem, gf_strip
 
 from fqlin import (
     DivisionByZero,
@@ -30,21 +32,27 @@ from fqlin.textio import parse_series
 from conftest import F2, F3, F4, F4_OVER_F2, F8, F9, SMALL_FIELDS, elems, exponents, perf_series
 
 
+def gf_dense(coords):
+    """sympy's dense form (leading coefficient first) of a coordinate vector."""
+    return gf_strip([ZZ(c) for c in reversed(coords)])
+
+
+def gf_coords(cfg, f):
+    """The coordinate vector (constant first) of a sympy polynomial of degree
+    below the field's."""
+    coords = [int(c) % cfg.p for c in reversed(f)]
+    return tuple(coords + [0] * (cfg.degree - len(coords)))
+
+
 def oracle_mul(cfg, a_coords, b_coords):
-    """Schoolbook product of coordinate vectors, reduced mod the modulus."""
-    p = cfg.p
-    n = cfg.degree
-    prod = [0] * (2 * n)
-    for i, ai in enumerate(a_coords):
-        for j, bj in enumerate(b_coords):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(2 * n - 1, n - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for i, mi in enumerate(cfg.modulus):
-                prod[k - n + i] = (prod[k - n + i] - c * mi) % p
-    return tuple(prod[:n])
+    """Product of coordinate vectors, reduced mod the modulus, by sympy."""
+    prod = gf_mul(gf_dense(a_coords), gf_dense(b_coords), cfg.p, ZZ)
+    return gf_coords(cfg, gf_rem(prod, gf_dense(cfg.modulus), cfg.p, ZZ))
+
+
+def code_of(cfg, coords):
+    """The documented int code: coordinates base p, constant least significant."""
+    return sum(c * cfg.p**i for i, c in enumerate(coords))
 
 
 # -- residue field ----------------------------------------------------------
@@ -151,8 +159,12 @@ def test_frobenius_is_additive_and_periodic(data):
 
 
 def test_inverse_of_zero_raises():
-    with pytest.raises(DivisionByZero):
-        F4.zero().inverse()
+    # a table's inverse of the code 0 is garbage, so FieldElem must refuse it
+    for cfg in (F2, F4, F9, F2_16, F7_8):
+        with pytest.raises(DivisionByZero):
+            cfg.zero().inverse()
+        with pytest.raises(DivisionByZero):
+            cfg.zero() ** -1
 
 
 def test_elements_enumeration_and_subfield():
@@ -163,14 +175,16 @@ def test_elements_enumeration_and_subfield():
     assert all(e * e == e for e in sub)
 
 
-# -- coded coefficients against the coordinate arithmetic of FieldElem --------
+# -- the int-code arithmetic against sympy -------------------------------------
 #
-# Inside a series a coefficient is an int code with its own arithmetic
-# (FieldConfig._ops): residues mod p and log/Zech tables up to order 2^16.
-# Above, it is the FieldElem itself.  FieldElem is the oracle here.
+# Every residue-field element is an int code with the field's arithmetic
+# (FieldConfig._ops): residues mod p, log/Zech tables up to order 2^16 and
+# slot-packed coordinates above.  FieldElem runs on the same codes, so both
+# are checked against sympy's galoistools on the coordinates.
 
 F2_16 = FieldConfig(p=2, v=16)  # the largest table field
-F7_8 = FieldConfig(p=7, v=8)  # above the cut-off: FieldElem coefficients
+F7_8 = FieldConfig(p=7, v=8)  # above the cut-off: slot-packed coordinates
+F2_20 = FieldConfig(p=2, v=20)
 PRIMES_TO_81 = [p for p in range(2, 82) if all(p % d for d in range(2, p))]
 CODED_FIELDS = [FieldConfig(p=p, v=v) for p in PRIMES_TO_81 for v in range(1, 7) if p**v <= 81]
 CODED_FIELDS += [F4_OVER_F2, FieldConfig(p=3, v=2, modulus=(2, 1, 1)), F2_16, F7_8]
@@ -178,29 +192,41 @@ CODED_FIELDS += [F4_OVER_F2, FieldConfig(p=3, v=2, modulus=(2, 1, 1)), F2_16, F7
 
 def test_codes_round_trip_on_small_fields():
     for cfg in CODED_FIELDS[:-2]:
-        codes = [cfg._encode(e) for e in cfg.elements()]
+        codes = [e.code for e in cfg.elements()]
         assert sorted(codes) == list(range(cfg.order))
-        assert all(cfg._decode(c) == e for c, e in zip(codes, cfg.elements()))
-        assert cfg._encode(cfg.zero()) == 0 and cfg._encode(cfg.one()) == 1
+        for c, e in zip(codes, cfg.elements()):
+            assert FieldElem(cfg, c) == e and code_of(cfg, e.coords) == c
+        assert cfg.zero().code == 0 and cfg.one().code == 1
 
 
-@pytest.mark.parametrize("cfg", CODED_FIELDS, ids=lambda cfg: f"F{cfg.p}^{cfg.degree}")
+@pytest.mark.parametrize("cfg", CODED_FIELDS + [F2_20], ids=lambda cfg: f"F{cfg.p}^{cfg.degree}")
 @given(st.data())
 @settings(max_examples=25, deadline=None)
 def test_code_ops_match_coordinate_arithmetic(cfg, data):
     a, b = data.draw(elems(cfg)), data.draw(elems(cfg))
-    ops, enc = cfg._ops, cfg._encode
-    ca, cb = enc(a), enc(b)
-    assert cfg._decode(ca) == a and bool(ca) == bool(a)
-    assert 0 <= ca < cfg.order if cfg._coded else ca is a
-    assert ops.add(ca, cb) == enc(a + b)
-    assert ops.neg(ca) == enc(-a)
-    assert ops.mul(ca, cb) == enc(a * b)
+    p, n, ops = cfg.p, cfg.degree, cfg._ops
+    ca, cb = a.code, b.code
+    assert ca == code_of(cfg, a.coords) and 0 <= ca < cfg.order and bool(a) == bool(ca)
+    fa, fb, mod = gf_dense(a.coords), gf_dense(b.coords), gf_dense(cfg.modulus)
+    want = {
+        "add": gf_coords(cfg, gf_add(fa, fb, p, ZZ)),
+        "neg": gf_coords(cfg, gf_neg(fa, p, ZZ)),
+        "mul": oracle_mul(cfg, a.coords, b.coords),
+    }
+    got = {"add": ops.add(ca, cb), "neg": ops.neg(ca), "mul": ops.mul(ca, cb)}
+    assert got == {op: code_of(cfg, coords) for op, coords in want.items()}
+    assert ((a + b).coords, (-a).coords, (a * b).coords) == (want["add"], want["neg"], want["mul"])
+    assert (a - b) + b == a
     if ca:
-        assert ops.inv(ca) == enc(a.inverse())
-    for k in range(-1, cfg.degree + 1):
+        one = gf_coords(cfg, [1])
+        assert oracle_mul(cfg, a.coords, a.inverse().coords) == one
+        assert ops.inv(ca) == a.inverse().code and (a ** -1).code == ops.inv(ca)
+    for k in range(-1, n + 1):
+        image = gf_coords(cfg, gf_pow_mod(fa, p ** (k % n), mod, p, ZZ))
         frob = ops.frob(k)
-        assert (ca if frob is None else frob(ca)) == enc(a.pow_p(k))
+        assert (ca if frob is None else frob(ca)) == code_of(cfg, image)
+        assert a.pow_p(k).coords == image
+    assert (a**p).coords == gf_coords(cfg, gf_pow_mod(fa, p, mod, p, ZZ))
 
 
 @given(st.data())
@@ -633,7 +659,7 @@ def test_div_equals_product_with_inverse(data):
     assert _outcome(lambda: x.div(d, prec=prec)) == _outcome(lambda: x * d.inv(prec=prec))
 
 
-F2_17 = FieldConfig(p=2, s=17)  # 2^17 elements: FieldElem coefficients inside series
+F2_17 = FieldConfig(p=2, s=17)  # 2^17 elements: slot-packed coordinate arithmetic
 F3_SHALLOW = FieldConfig(p=3, perf_depth=1)  # a q-th root of x^{1/3} leaves the grid
 
 
