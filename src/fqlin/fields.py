@@ -20,9 +20,10 @@ prime field; log/antilog tables up to order 2^16, with XOR addition in
 characteristic 2 and a Zech table otherwise; above that, coordinates in
 w-bit slots of one int, a product being one int multiply folded back by the
 modulus (Kronecker substitution on one element), which also builds the
-tables.  The constructor takes ``FieldElem``s, and ``terms``, ``coeff``,
-``leading()`` and ``prec`` build ``FieldElem``s and ``Fraction``s (or
-``INF``) on each access.
+tables, and an inverse the extended Euclidean algorithm over F_p[g].  The
+constructor takes ``FieldElem``s, and ``terms``, ``coeff``, ``leading()``
+and ``prec`` build ``FieldElem``s and ``Fraction``s (or ``INF``) on each
+access.
 
 Precision propagates ultrametrically:
 
@@ -387,7 +388,55 @@ def _coordinate_ops(cfg):
     else:
         add = lambda a, b: code(low[a % split] + high[a // split] + low[b % split] + high[b // split])
         neg = lambda a: code((p - 1) * (low[a % split] + high[a // split]))
-    return _CodeOps(add, neg, mul, lambda a: _power(mul, a, cfg.order - 2), frob_map)
+    return _CodeOps(add, neg, mul, _euclid_inverse(cfg), frob_map)
+
+
+def _euclid_inverse(cfg):
+    """The inverse of a nonzero code by the extended Euclidean algorithm
+    over F_p[g]: from (r0, r1) = (modulus, a) and (s0, s1) = (0, 1), keep
+    s_i * a = r_i modulo the modulus while r0 loses its leading term to a
+    multiple of r1, and swap once r0 falls below r1, until r1 is a
+    constant.  In characteristic 2 a code is its polynomial, one bit per
+    coefficient, so a step is a shift and an XOR."""
+    p, modulus = cfg.p, cfg.modulus
+    if p == 2:
+        mod = sum(c << i for i, c in enumerate(modulus))
+
+        def inv2(a):
+            r0, r1, s0, s1 = mod, a, 0, 1
+            while r1 != 1:
+                k = r0.bit_length() - r1.bit_length()
+                if k < 0:
+                    r0, r1, s0, s1, k = r1, r0, s1, s0, -k
+                r0 ^= r1 << k
+                s0 ^= s1 << k
+            return s1
+
+        return inv2
+
+    def inv(a):
+        r0, r1, s0, s1 = list(modulus), [], [], [1]  # coefficients, constant first
+        while a:
+            a, d = divmod(a, p)
+            r1.append(d)
+        while len(r1) > 1:
+            lead_inv = pow(r1[-1], -1, p)
+            while len(r0) >= len(r1):
+                c, k = p - r0[-1] * lead_inv % p, len(r0) - len(r1)
+                for i, x in enumerate(r1):
+                    r0[k + i] = (r0[k + i] + c * x) % p
+                s0 += [0] * (len(s1) + k - len(s0))
+                for i, x in enumerate(s1):
+                    s0[k + i] = (s0[k + i] + c * x) % p
+                while r0 and not r0[-1]:
+                    r0.pop()
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        c, out = pow(r1[0], -1, p), 0  # s1 * a = r1[0]
+        for x in reversed(s1):
+            out = out * p + x * c % p
+        return out
+
+    return inv
 
 
 def _table_ops(cfg, ops):
@@ -913,3 +962,17 @@ def valuation(a):
     if a._terms:  # read the exponent alone: leading() would decode the coefficient
         return Valuation(Fraction(a._terms[0][0], a.field._scale), True)
     return Valuation(a.prec, False)
+
+
+def difference_valuation(a, b, prec=INF):
+    """valuation(a - b) for a - b known below prec, read off the two sorted
+    term lists without forming the difference: the first exponent below
+    prec at which they differ, or prec (a lower bound) when they agree
+    below it."""
+    at, bt = a._terms, b._terms
+    n = next((min(ta[0], tb[0]) for ta, tb in zip(at, bt) if ta != tb), None)
+    if n is None and len(at) != len(bt):  # one list runs on past the other
+        n = (at if len(at) > len(bt) else bt)[min(len(at), len(bt))][0]
+    if n is None or (prec != INF and n >= _scaled(a.field, prec)):
+        return Valuation(prec, False)
+    return Valuation(Fraction(n, a.field._scale), True)

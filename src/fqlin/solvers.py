@@ -61,7 +61,19 @@ error contracts as e -> (beta/alpha) e^q; the lift runs at most the
 number of iterations that contraction needs to reach the working
 precision, and w keeps only the digits its last residual determines.
 Each step divides by the binomial alpha exactly (``PerfSeries.div``);
-1/alpha is never formed.
+1/alpha is never formed.  Because alpha is exact, an iteration forms
+neither alpha w nor the residual rhs - (alpha w - beta w^q):
+
+* alpha w is the numerator rhs + beta w_old^q cut at prec(w) + v(alpha),
+  since the division consumes every remainder term below that (and is the
+  numerator itself when w is exact);
+* so below T = min(prec rhs, prec(w) + v(alpha), prec beta w^q), the
+  residual's own precision, the residual has exactly the terms of
+  beta w^q - beta w_old^q.  Its valuation is the first exponent below T
+  at which the two term lists differ, or T when they agree (zero modulo
+  T).
+
+An iteration thus takes one division and one product, beta w^q.
 
 ``residual`` back-substitutes a candidate into the original equation by
 plain composition, independently of ``_recursion`` and its power table.
@@ -87,7 +99,16 @@ from .errors import (
     ValidationError,
     ZeroInput,
 )
-from .fields import DEFAULT_XPREC, INF, PerfSeries, den_exp, least_factor_degree, twisted_sum, valuation
+from .fields import (
+    DEFAULT_XPREC,
+    INF,
+    PerfSeries,
+    den_exp,
+    difference_valuation,
+    least_factor_degree,
+    twisted_sum,
+    valuation,
+)
 from .ore import factor_unit
 from .series import CompSeries, GrowthCertificate, _PowerTable, growth_certificate
 
@@ -347,7 +368,15 @@ def _hensel_bound(v_e, v_alpha, v_beta, q, stop):
 
 def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
     """The small solution of alpha w - beta w^q = rhs with v(w) >= 0,
-    Hensel-lifted to x-adic precision wprec; errors name the Riccati step l."""
+    Hensel-lifted to x-adic precision wprec; errors name the Riccati step l.
+
+    alpha must be exact.  Then each iteration reads the residual's
+    valuation off beta w^q and the previous iteration's: alpha w is the
+    division's numerator rhs + beta w_old^q cut at prec(w) + v(alpha), so
+    below the residual's precision T = min(prec rhs, prec(w) + v(alpha),
+    prec beta w^q) the residual equals beta w^q - beta w_old^q term for
+    term (see the module docstring).  The residue-root monomial's residual
+    is formed in full."""
     fld = alpha.field
     q = fld.q
     v_alpha = valuation(alpha).value
@@ -388,13 +417,15 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
             if converged:
                 break
             w = (rhs + bwq).div(alpha, prec=stop - 2 * v_alpha + 1)
-            bwq = beta * w.frobenius(1)
-            res = rhs - (alpha * w - bwq)
-            v_now = valuation(res).value
-            if not res.is_zero() and v_now <= res_vals[-1]:
+            bwq_old, bwq = bwq, beta * w.frobenius(1)
+            # alpha w is rhs + bwq_old cut at prec(w) + v(alpha), so below that
+            # and the other precisions res = rhs - (alpha w - bwq) = bwq - bwq_old
+            cut = min(rhs.prec, w.prec + v_alpha, bwq.prec)
+            v_now, nonzero = difference_valuation(bwq, bwq_old, cut)
+            if nonzero and v_now <= res_vals[-1]:
                 break  # stalled: not the contracting branch
             res_vals.append(v_now)
-            converged = res.is_zero() or v_now >= stop
+            converged = not nonzero or v_now >= stop
         if converged:
             if trace is not None:
                 trace.append({"mu": mu, "residuals": res_vals})

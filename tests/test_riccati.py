@@ -4,7 +4,8 @@ The oracle is the per-step additive equation itself: every computed
 coefficient a_{l+1} must satisfy alpha a_{l+1}^{1/q} - beta a_{l+1} = rhs_l
 to the working precision, with alpha, beta and rhs_l reassembled here
 independently of the solver, and the final series must leave a zero
-residual in the full equation.
+residual in the full equation.  The Hensel lift is also held to a seeded
+sweep pinned by digest and to a test-local copy that forms every residual.
 """
 
 import hashlib
@@ -32,7 +33,9 @@ from fqlin import (
 from conftest import F2, F3, F4, F4_OVER_F2, elems
 from fqlin import FieldConfig
 from fqlin.errors import KernelError
-from fqlin.solvers import _hensel_bound
+import fqlin.solvers
+from fqlin.fields import INF, den_exp
+from fqlin.solvers import _hensel_bound, _residue_root
 
 F9_OVER_F3 = FieldConfig(p=3, s=2)
 
@@ -408,3 +411,182 @@ def test_solve_riccati_sweep_pinned():
         lines.append(_sweep_outcome(prob, rng.randint(2, 4), Fraction(rng.choice((6, 8, 10)))))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "13017267a6f69c5b0df56934ad7083b6379cebee147e1f6e940df947c38a853e"
+
+
+# ---------------------------------------------------------------------------
+# the Hensel lift against a copy that forms every residual
+
+
+def residual_forming_lift(alpha, beta, rhs, wprec, l, trace=None, cuts=None):
+    """``_solve_additive`` with every residual formed: each iteration
+    multiplies alpha * w and subtracts rhs - (alpha w - beta w^q)
+    (test-local).  ``cuts`` collects, per iteration, whether rhs's
+    precision is the residual's, that is whether it sets T."""
+    fld = alpha.field
+    q = fld.q
+    v_alpha = valuation(alpha).value
+    v_beta = valuation(beta).value
+    stop = max(Fraction(wprec) + v_alpha, q * Fraction(wprec) + v_beta)
+    if rhs.is_zero():
+        return PerfSeries.zero(fld, prec=min(rhs.prec - v_alpha, (rhs.prec - v_beta) / q))
+    v_r = valuation(rhs).value
+    chord = v_r + Fraction(v_beta - v_r) / q
+    if v_alpha < chord:
+        candidates = [(Fraction(v_r - v_alpha), (0, 1)), (Fraction(v_alpha - v_beta) / (q - 1), (1, q))]
+    elif v_alpha == chord:
+        candidates = [(Fraction(v_r - v_beta) / q, (0, 1, q))]
+    else:
+        candidates = [(Fraction(v_r - v_beta) / q, (0, q))]
+    r0, a0, b0 = rhs.leading()[1], alpha.leading()[1], beta.leading()[1]
+    needed_degree = None
+    bounds = []
+    for mu, on_line in candidates:
+        if mu < 0 or den_exp(mu, fld.p) is None:
+            continue
+        root = _residue_root(fld, on_line, r0, a0, b0, q)
+        if isinstance(root, int):
+            needed_degree = root if needed_degree is None else min(needed_degree, root)
+            continue
+        w = PerfSeries.x_pow(fld, mu, root)
+        bwq = beta * w.frobenius(1)
+        res = rhs - (alpha * w - bwq)
+        res_vals = [valuation(res).value]
+        converged = res.is_zero() or res_vals[-1] >= stop
+        bounds.append(0 if converged else _hensel_bound(res_vals[0] - v_alpha, v_alpha, v_beta, q, stop))
+        for _ in range(bounds[-1]):
+            if converged:
+                break
+            w = (rhs + bwq).div(alpha, prec=stop - 2 * v_alpha + 1)
+            bwq = beta * w.frobenius(1)
+            res = rhs - (alpha * w - bwq)
+            if cuts is not None:
+                cuts.append(res.prec == rhs.prec != INF)
+            v_now = valuation(res).value
+            if not res.is_zero() and v_now <= res_vals[-1]:
+                break
+            res_vals.append(v_now)
+            converged = res.is_zero() or v_now >= stop
+        if converged:
+            if trace is not None:
+                trace.append({"mu": mu, "residuals": res_vals})
+            return w.truncate(min(wprec, res_vals[-1] - v_alpha))
+    if needed_degree is not None:
+        raise NeedsFieldExtension(
+            needed_degree,
+            f"Riccati step l = {l} (a_{l + 1}): residue equation has no root in the scalar field",
+        )
+    within = f" within the Hensel bound ({', '.join(map(str, bounds))} iterations)" if bounds else ""
+    raise NonConvergent(
+        f"Riccati step l = {l} (a_{l + 1}): no contracting root with non-negative "
+        f"valuation{within}; the equation falls outside the certified parameter range"
+    )
+
+
+def _outcome(lift, *args, **kwargs):
+    try:
+        return lift(*args, **kwargs)
+    except KernelError as exc:
+        return type(exc), str(exc)
+
+
+def solve_checking_each_lift(prob, order, xprec, cuts=None):
+    """solve_riccati with every Hensel lift also run by the residual-forming
+    copy; each step must return the same w (terms and precision), the same
+    trace (roots and residual valuations) or the same error."""
+    lift = fqlin.solvers._solve_additive
+    lifts = []
+
+    def both(alpha, beta, rhs, wprec, l, trace=None):
+        old_trace, new_trace = [], []
+        old = _outcome(residual_forming_lift, alpha, beta, rhs, wprec, l, trace=old_trace, cuts=cuts)
+        lifts.append(l)
+        try:
+            new = lift(alpha, beta, rhs, wprec, l, trace=new_trace)
+        except KernelError as exc:
+            assert (type(exc), str(exc)) == old, f"step l = {l}"
+            raise
+        assert new == old and new_trace == old_trace, f"step l = {l}"
+        if trace is not None:
+            trace.extend(new_trace)
+        return new
+
+    fqlin.solvers._solve_additive = both
+    try:
+        _outcome(solve_riccati, prob, order, xprec=xprec)
+    finally:
+        fqlin.solvers._solve_additive = lift
+    return lifts
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_lift_matches_the_residual_forming_copy(data):
+    cfg, branch = data.draw(st.sampled_from(BRANCH_CASES + [(FieldConfig(p=5), "zero"), (F4, "zero")]))
+    prob = admissible_problem(data, cfg, branch, inexact=True)
+    solve_checking_each_lift(prob, data.draw(st.integers(1, 4)), Fraction(data.draw(st.sampled_from((6, 10, 16)))))
+
+
+def test_lift_reads_rhs_precision_as_the_cut():
+    # r_0 is known below x^{9/4} only: step 0's second residual is zero modulo
+    # rhs's precision, which is then T, the residual's precision (prec(w) +
+    # v(alpha) equals it, and beta w^q is known further)
+    one, g = F4_OVER_F2.one(), F4_OVER_F2.gen()
+    prob = RiccatiProblem(
+        PerfSeries(F4_OVER_F2, [(Fraction(1, 4), g), (Fraction(7, 4), one)]),
+        r={
+            0: PerfSeries(F4_OVER_F2, [(Fraction(5, 4), one)], Fraction(9, 4)),
+            2: PerfSeries(F4_OVER_F2, [(Fraction(7, 4), one)], Fraction(15, 4)),
+        },
+    )
+    trace, cuts = [], []
+    solve_riccati(prob, 4, xprec=Fraction(6), trace=trace)
+    assert trace[0]["steps"] == [{"mu": 1, "residuals": [2, Fraction(9, 4)]}]
+    assert solve_checking_each_lift(prob, 4, Fraction(6), cuts) == [0, 1, 2, 3]
+    assert any(cuts)
+
+
+def _x(cfg, exp, coeff=1):
+    return PerfSeries.x_pow(cfg, Fraction(exp), coeff)
+
+
+@pytest.mark.parametrize(
+    "prob, xprec",
+    [
+        (RiccatiProblem(_x(F2, "1/4"), r={0: _x(F2, "1/2"), 1: _x(F2, 1)}), 12),
+        (RiccatiProblem(_x(F2, "1/4"), {1: _x(F2, 1)}, {0: _x(F2, "1/2")}), 20),
+        (
+            RiccatiProblem(
+                _x(F9_OVER_F3, "1/9", F9_OVER_F3.gen()), r={0: _x(F9_OVER_F3, "10/9")}, branch="nonzero"
+            ),
+            10,
+        ),
+    ],
+    ids=["F2-r0-r1", "F2-roadmap", "F9-nonzero"],
+)
+def test_lift_forms_one_product_per_iteration(prob, xprec, monkeypatch):
+    # the residue-root monomial's residual takes two products (alpha w and
+    # beta w^q), and every iteration one (beta w^q): alpha w and the residual
+    # are read off the division and the two beta w^q.  Every root tried here
+    # converges, so the step's trace lists them all
+    lift, mul = fqlin.solvers._solve_additive, PerfSeries.__mul__
+    counted, calls = [], [None]
+
+    def counting_mul(a, b):
+        if calls[0] is not None:
+            calls[0] += 1
+        return mul(a, b)
+
+    def counting_lift(*args, trace=None, **kwargs):
+        calls[0], step_trace = 0, []
+        out = lift(*args, trace=step_trace, **kwargs)
+        counted.append((calls[0], step_trace))
+        calls[0] = None
+        return out
+
+    monkeypatch.setattr(PerfSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(fqlin.solvers, "_solve_additive", counting_lift)
+    solve_riccati(prob, 4, xprec=Fraction(xprec))
+    assert len(counted) == 4 and sum(len(s["residuals"]) - 1 for _, t in counted for s in t) > 0
+    for n_mul, step_trace in counted:
+        roots, iterations = len(step_trace), sum(len(s["residuals"]) - 1 for s in step_trace)
+        assert n_mul == 2 * roots + iterations
