@@ -8,7 +8,9 @@ of the multinomial, and the first ODE coefficient against the closed form
 c_1 = [1]^{-1} a_{00}^q.
 """
 
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,18 +20,22 @@ from hypothesis import strategies as st
 from fqlin import (
     INF,
     CompSeries,
+    FieldConfig,
     ImplicitProblem,
     NotSolvable,
     OdeProblem,
     PerfSeries,
+    RiccatiProblem,
     ValidationError,
     bracket,
     growth_certificate,
     normalize_time_change,
     parse_series,
     residual,
+    riccati_series,
     solve_implicit,
     solve_ode,
+    solve_riccati,
     untransform_ode_solution,
 )
 
@@ -417,3 +423,68 @@ def test_residual_builds_each_power_once(monkeypatch):
     calls.clear()
     residual(OdeProblem(F2, {(0, 0): one, (1, 1): one, (0, 2): one, (1, 3): one}), z, 5)
     assert len(calls) == 2
+
+
+# -- a seeded sweep of residuals pinned by digest ---------------------------
+
+PIN_FIELDS = [F2, F3, F4, FieldConfig(p=3, s=2), FieldConfig(p=2, s=2)]
+
+
+def _pin_elem(rng, cfg):
+    while True:
+        e = cfg.elem([rng.randrange(cfg.p) for _ in range(cfg.degree)])
+        if e:
+            return e
+
+
+def _pin_scalar(rng, cfg, n_terms, lo, hi):
+    """Exact scalar with n_terms monomials at integer exponents in [lo, hi]."""
+    exps = rng.sample(range(lo, hi + 1), n_terms)
+    return PerfSeries(cfg, [(Fraction(e), _pin_elem(rng, cfg)) for e in exps])
+
+
+def _pin_problems(rng, cfg, order, xprec):
+    """(problem, solution) pairs in the shapes of the benchmark's implicit,
+    pole-ODE and Riccati instances (test-local copies of those shapes)."""
+
+    def s(n_terms, lo, hi):
+        return _pin_scalar(rng, cfg, n_terms, lo, hi)
+
+    def x_pow(e):
+        return PerfSeries.x_pow(cfg, e, _pin_elem(rng, cfg))
+
+    p0 = CompSeries(cfg, {i: s(3, 0, 5) for i in (1, 2, 3)})
+    p1 = CompSeries(cfg, {0: PerfSeries.constant(cfg, _pin_elem(rng, cfg)), 1: s(2, 0, 4), 2: s(2, 0, 4)})
+    nonlinear = [CompSeries(cfg, {i: s(2, 0, 4) for i in (0, 1)}) for _ in (2, 3)]
+    imp = ImplicitProblem((p0, p1, *nonlinear))
+    yield imp, solve_implicit(imp, order, xprec=xprec)[0]
+    pole = PerfSeries(cfg, [(Fraction(-rng.randint(1, 3)), _pin_elem(rng, cfg)), (Fraction(rng.randint(0, 3)), _pin_elem(rng, cfg))])
+    a = {(0, 0): pole, (1, 0): x_pow(-rng.randint(1, 3)), (1, 1): s(1, 0, 3), (0, 2): s(2, 0, 3), (1, 3): s(1, 0, 3)}
+    ode = OdeProblem(cfg, a)
+    norm, gamma = normalize_time_change(ode)
+    yield ode, untransform_ode_solution(solve_ode(norm, order, xprec=xprec)[0], gamma)
+    floor = Fraction(1, cfg.q**2)
+    branch = "nonzero" if cfg.s == 2 and rng.random() < 0.5 else "zero"
+    ric = RiccatiProblem(x_pow(floor), {1: x_pow(floor + 1)}, {0: x_pow(floor + 2)}, branch)
+    c, coeffs = solve_riccati(ric, order, xprec=xprec)
+    yield ric, riccati_series(c, coeffs, cfg)
+
+
+def test_residual_sweep_pinned():
+    # bench-shaped implicit, ODE and Riccati problems over the benchmark's five
+    # fields, four seeds each: every solution and a copy with one extra term,
+    # with 360 residuals at orders below, at and past the candidate's order 4
+    # (64 of them nonzero) and 480 self_power(k) for k = 0..3.  A change to
+    # the residual or to the power chain must reproduce every repr byte for
+    # byte
+    lines = []
+    for seed in (0, 7, 13, 29):
+        for cfg in PIN_FIELDS:
+            rng = random.Random(f"residual sweep {seed} {cfg.p}^{cfg.degree}")
+            for prob, z in _pin_problems(rng, cfg, 4, Fraction(10)):
+                extra = CompSeries.monomial(cfg, rng.randint(1, 4), PerfSeries.x_pow(cfg, rng.randint(-4, 4), _pin_elem(rng, cfg)))
+                for cand in (z, z + extra):
+                    lines += [repr(residual(prob, cand, order)) for order in (2, 4, 6)]
+                    lines += [repr(cand.self_power(k)) for k in range(4)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "31f85173ee4879a23b1944cbb636b9cb79c633c83dc9d06f1eaf60f2c44f5f73"
