@@ -159,15 +159,27 @@ class CompSeries:
         fld = self.field
         return CompSeries(fld, {l: twisted_sum(fld, triples) for l, triples in sums.items()}, order)
 
+    def powers(self, top, order=INF):
+        """[self^{o 0}, ..., self^{o top}] as one chain with self outermost,
+        self^{o k} cut at order + m (top - k), m = -min_index() if that is
+        negative and 0 otherwise: the highest index that a sum of
+        P_k o self^{o k} (min_index(P_k) >= 0) cut at ``order`` reads.  The
+        cut drops no coefficient and moves no order marker of that sum;
+        order = INF cuts nothing."""
+        self.field.check_twist(top, "k")
+        low = self.min_index()
+        margin = -low if low < 0 else 0
+        chain = [CompSeries.identity(self.field)]
+        for k in range(1, top + 1):
+            cut = order + margin * (top - k)
+            chain.append(self.truncate(cut) if k == 1 else self.compose(chain[-1], cut))
+        return chain
+
     def self_power(self, k):
         """k-fold composition of self with itself (k >= 0)."""
         if k < 0:
             raise ValidationError("compositional power must be non-negative")
-        self.field.check_twist(k, "k")
-        result = CompSeries.identity(self.field)
-        for _ in range(k):
-            result = self.compose(result)
-        return result
+        return self.powers(k)[-1]
 
     # -- truncation and evaluation ---------------------------------------------
 

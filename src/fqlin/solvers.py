@@ -75,14 +75,13 @@ neither alpha w nor the residual rhs - (alpha w - beta w^q):
 
 An iteration thus takes one division and one product, beta w^q.
 
-``residual`` back-substitutes a candidate into the original equation by
-plain composition, independently of ``_recursion`` and its power table.
-It builds the powers z, z o z, z o (z o z), ... once, as one chain with z
-outermost as in ``self_power``, and cuts each at the highest index that
-the residual at its order reads: the order itself when min_index(z) >= 0,
-plus the margin -min_index(z) (K - k) for z^{o k} of a candidate with
-negative indices, K the highest power.  The cut drops no coefficient and
-moves no order marker that the result shows.
+``residual`` back-substitutes a candidate into the one shape that the
+three families share, sum_k P_k o z^{o k} = 0 (implicit) or = d z, with
+P_k = sum_j a_{jk} t^{q^j} for the ODE and P_0 = R, P_1 = P(tau),
+P_2 = lambda t for the Riccati equation.  It composes plainly,
+independently of ``_recursion`` and its power table, on the one chain of
+powers z, z o z, z o (z o z), ... that ``CompSeries.powers`` builds and
+cuts.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .carlitz import bracket, carlitz_d, tau_power
+from .carlitz import bracket, carlitz_d
 from .errors import (
     NeedsFieldExtension,
     NonConvergent,
@@ -497,44 +496,25 @@ def riccati_series(c, a, field):
 # residuals
 
 
-def _self_powers(z, top, order):
-    """z^{o k} for k = 0..top from one chain z, z o z, z o (z o z), ..., each
-    cut at the highest index that the residual at ``order`` reads (see the
-    module docstring)."""
-    z.field.check_twist(top, "k")
-    low = z.min_index()
-    margin = -low if low < 0 else 0
-    powers = [CompSeries.identity(z.field)]
-    if top >= 1:
-        powers.append(z.truncate(order + margin * (top - 1)))
-    for k in range(2, top + 1):
-        powers.append(z.compose(powers[-1], order + margin * (top - k)))
-    return powers
-
-
-def _residual_implicit(prob, z, order):
-    powers = _self_powers(z, len(prob.P) - 1, order)
-    total = prob.P[0]
-    for k, p_k in enumerate(prob.P[1:], start=1):
-        total = total + p_k.compose(powers[k], order)
-    return total.truncate(order)
-
-
-def _residual_ode(prob, z, order):
-    powers = _self_powers(z, max((k for _, k in prob.a), default=0), order)
-    rhs = CompSeries.zero(prob.field)
-    for (j, k), a_jk in prob.a.items():
-        rhs = rhs + tau_power(powers[k], j).scale_left(a_jk)
-    return (carlitz_d(z) - rhs).truncate(order)
-
-
-def _residual_riccati(prob, y, order):
+def _equation_parts(prob):
+    """The parts of the problem's equation sum_k P_k o z^{o k} as {k: P_k},
+    without the exact-zero ones, and whether the sum equals d z (ODE and
+    Riccati) rather than 0 (implicit)."""
     fld = prob.field
-    rhs = y.compose(y).scale_left(prob.lam)
-    for k, p_k in prob.p.items():
-        rhs = rhs + tau_power(y, k).scale_left(p_k)
-    rhs = rhs + CompSeries(fld, dict(prob.r))
-    return (carlitz_d(y) - rhs).truncate(order)
+    if isinstance(prob, ImplicitProblem):
+        parts = dict(enumerate(prob.P))
+    elif isinstance(prob, OdeProblem):
+        columns = {}
+        for (j, k), a_jk in prob.a.items():
+            columns.setdefault(k, {})[j] = a_jk
+        parts = {k: CompSeries(fld, col) for k, col in columns.items()}
+    elif isinstance(prob, RiccatiProblem):
+        lam_t = CompSeries.monomial(fld, 0, prob.lam)
+        parts = {0: CompSeries(fld, prob.r), 1: CompSeries(fld, prob.p), 2: lam_t}
+    else:
+        raise ValidationError(f"no residual for problem type {type(prob).__name__}")
+    parts = {k: p_k for k, p_k in parts.items() if not p_k.is_exact_zero()}
+    return parts, not isinstance(prob, ImplicitProblem)
 
 
 def residual(prob, candidate, order):
@@ -542,10 +522,8 @@ def residual(prob, candidate, order):
     evaluated at the candidate and truncated to the given order.  A
     candidate solves the problem modulo the order exactly when every
     coefficient of the residual is zero."""
-    if isinstance(prob, ImplicitProblem):
-        return _residual_implicit(prob, candidate, order)
-    if isinstance(prob, OdeProblem):
-        return _residual_ode(prob, candidate, order)
-    if isinstance(prob, RiccatiProblem):
-        return _residual_riccati(prob, candidate, order)
-    raise ValidationError(f"no residual for problem type {type(prob).__name__}")
+    parts, differential = _equation_parts(prob)
+    powers = candidate.powers(max(parts, default=0), order)
+    terms = (p_k if k == 0 else p_k.compose(powers[k], order) for k, p_k in parts.items())
+    total = sum(terms, CompSeries.zero(prob.field))
+    return (carlitz_d(candidate) - total if differential else total).truncate(order)

@@ -370,6 +370,12 @@ def per_k_residual(prob, z, order):
         for k, p_k in enumerate(prob.P[1:], start=1):
             total = total + p_k.compose(z.self_power(k))
         return total.truncate(order)
+    if isinstance(prob, RiccatiProblem):
+        # d y - lambda (y o y) - sum_k p_k tau^k(y) - R
+        rhs = z.self_power(2).scale_left(prob.lam) + CompSeries(prob.field, prob.r)
+        for k, p_k in prob.p.items():
+            rhs = rhs + tau_power(z.self_power(1), k).scale_left(p_k)
+        return (carlitz_d(z) - rhs).truncate(order)
     rhs = CompSeries.zero(prob.field)
     for (j, k), a_jk in prob.a.items():
         rhs = rhs + tau_power(z.self_power(k), j).scale_left(a_jk)
@@ -388,21 +394,32 @@ def test_residual_matches_per_k_self_powers(low, data):
     z_order = data.draw(st.sampled_from([INF, low + 3, low + 4]))
     z = CompSeries(cfg, {i: data.draw(coef) for i in {low} | indices}, z_order)
     scalar = perf_series(cfg, max_terms=2, depth=0, nonzero=True)
-    if data.draw(st.booleans()):
+    family = data.draw(st.sampled_from(["implicit", "ode", "riccati"]))
+    if family == "implicit":
         p0 = CompSeries(cfg, {i: data.draw(scalar) for i in data.draw(st.sets(st.integers(1, 3), max_size=2))})
         p1 = CompSeries(cfg, {0: PerfSeries.constant(cfg, data.draw(elems(cfg, nonzero=True))), 1: data.draw(scalar)})
         rest = [CompSeries(cfg, {data.draw(st.integers(0, 2)): data.draw(scalar)}) for _ in range(data.draw(st.integers(0, 2)))]
         prob = ImplicitProblem((p0, p1, *rest))
-    else:
+    elif family == "ode":
         support = data.draw(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=1, max_size=3))
         prob = OdeProblem(cfg, {jk: data.draw(scalar) for jk in support})
+    else:
+        # lambda, p_k and r_j at or above the floor 1/q^2, lambda sometimes inexact
+        floor = Fraction(1, cfg.q**2)
+        above = st.builds(lambda n, c: PerfSeries.x_pow(cfg, floor + n, c), st.integers(0, 2), elems(cfg, nonzero=True))
+        lam = data.draw(above)
+        if data.draw(st.booleans()):
+            lam = lam + PerfSeries.zero(cfg, prec=lam.valuation_lb() + data.draw(st.integers(1, 3)))
+        p = {k: data.draw(above) for k in data.draw(st.sets(st.integers(1, 3), max_size=2))}
+        r = {j: data.draw(above) for j in data.draw(st.sets(st.integers(0, 3), max_size=2))}
+        prob = RiccatiProblem(lam, p, r)
     order = data.draw(st.integers(0, (low + 4 if z_order == INF else z_order) + 3))
     assert residual(prob, z, order) == per_k_residual(prob, z, order)
 
 
 def test_residual_builds_each_power_once(monkeypatch):
     # one chain z, z o z, z o (z o z): 2 compositions for the powers, plus one
-    # per P_k; the oracle never reads the solvers' power table
+    # per P_k with k >= 1; the oracle never reads the solvers' power table
     import fqlin.series
     import fqlin.solvers
 
@@ -422,7 +439,12 @@ def test_residual_builds_each_power_once(monkeypatch):
     assert len(calls) == 5
     calls.clear()
     residual(OdeProblem(F2, {(0, 0): one, (1, 1): one, (0, 2): one, (1, 3): one}), z, 5)
-    assert len(calls) == 2
+    assert len(calls) == 5
+    calls.clear()
+    # y o y is the chain's one composition, plus P_1 = x t^{q^1} and P_2 = x t
+    x = PerfSeries.x_pow(F2, 1)
+    residual(RiccatiProblem(x, {1: x}, {0: x}), z, 5)
+    assert len(calls) == 3
 
 
 # -- a seeded sweep of residuals pinned by digest ---------------------------
