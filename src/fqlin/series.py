@@ -216,7 +216,7 @@ class CompSeries:
                 f"v(t0) = {vt0.value} is not above kappa = {cert.kappa}{detail}"
             )
         total = twisted_sum(self.field, [(c_k, t0, k) for k, c_k in self.terms.items()])
-        tail = self.field.q ** (self.order + 1) * (vt0.value - cert.kappa)
+        tail = Fraction(self.field.q) ** (self.order + 1) * (vt0.value - cert.kappa)
         return total.truncate(min(total.prec, tail))
 
     # -- comparison -------------------------------------------------------------
@@ -251,7 +251,7 @@ def growth_certificate(u):
     q = u.field.q
     kappa = Fraction(0)
     for k, c in u.terms.items():
-        bound = -Fraction(c.valuation_lb()) / q**k
+        bound = -Fraction(c.valuation_lb()) / Fraction(q) ** k
         if bound > kappa:
             kappa = bound
     return GrowthCertificate(kappa=kappa, order=u.order)

@@ -296,6 +296,21 @@ def test_eval_golden_and_tail():
     assert log == [(1, 3), (2, 4)]
 
 
+def test_negative_indices_use_exact_powers_of_q():
+    # q^k for k < 0 is the Fraction 1/q^|k|, not a float: kappa = (1/9) / (1/3)
+    # over F_3, 2^1024 for a pole at index -1024 over F_2, and an exact tail
+    u = CompSeries(F3, {-1: PerfSeries.x_pow(F3, Fraction(-1, 9))})
+    assert growth_certificate(u).kappa == Fraction(1, 3)
+    with pytest.raises(OutsideConvergenceDomain):
+        u.eval_at(PerfSeries.x_pow(F3, Fraction(1, 3)))
+    far = CompSeries(F2, {-1024: PerfSeries.x_pow(F2, -1)})
+    assert growth_certificate(far).kappa == 2**1024
+    # x t^{q^-7} + O(t^{q^-5}) at x^5: the tail bound q^-5 (5 - 0) = 5/243
+    # sits below the one term x^{1 + 5/3^7}
+    v = CompSeries(F3, {-7: PerfSeries.x_pow(F3, 1)}, order=-6)
+    assert v.eval_at(PerfSeries.x_pow(F3, 5)) == PerfSeries.zero(F3, prec=Fraction(5, 243))
+
+
 def test_eval_outside_domain_raises():
     u = CompSeries(F2, {1: PerfSeries.x_pow(F2, -2)})
     with pytest.raises(OutsideConvergenceDomain):
