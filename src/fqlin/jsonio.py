@@ -35,6 +35,12 @@ def _int(value, what):
     return value
 
 
+def _index(field, value, what):
+    """An integer composition index or order, bounded by ``check_twist``."""
+    field.check_twist(_int(value, what), what)
+    return value
+
+
 def _array(value, what):
     _require(isinstance(value, list), f"{what} must be an array")
     return value
@@ -107,9 +113,9 @@ def decode_comp(field, doc):
     terms = {}
     for item in _array(doc.get("terms", []), "composition terms"):
         _require(isinstance(item, dict), "composition term must be an object")
-        terms[_int(item.get("k"), "k")] = decode_perf(field, item.get("coef"))
+        terms[_index(field, item.get("k"), "k")] = decode_perf(field, item.get("coef"))
     order = doc.get("N")
-    return CompSeries(field, terms, INF if order is None else _int(order, "N"))
+    return CompSeries(field, terms, INF if order is None else _index(field, order, "N"))
 
 
 def comp_value(field, value):

@@ -320,6 +320,7 @@ class RiccatiProblem:
                 k = int(k)
                 if k < k_min:
                     raise ValidationError(f"{name}_{k} index below {k_min}")
+                fld.check_twist(k, f"{name} index")
                 _coerce_coeff(fld, coef, f"{name}_{k}")
                 if coef.is_exact_zero():
                     continue

@@ -4,7 +4,7 @@ Canonical form examples: ``x^{1/2}*t^[q^-1]``, ``(1+g)*x^2*t``,
 ``x + x^2 + O(x^33)``, ``t^[q^1] + O(t^[q^5])``.  The parser accepts a
 whitespace-insensitive superset (signs, parenthesized scalars such as
 ``(1+x)*x^2*t``, unbraced integer exponents) and round-trips everything
-the emitters produce.
+the emitters produce whose indices are in range (see below).
 
 Grammar (EBNF, whitespace between tokens ignored):
 
@@ -31,8 +31,10 @@ Grammar (EBNF, whitespace between tokens ignored):
 
 A composition order marker O(t^[q^M]) states that indices >= M are not
 accounted for, matching a series order of M - 1; a scalar marker O(x^e)
-is the usual x-adic precision bound.  Any other character, and a literal
-longer than int() converts, is a ParseError at its position.
+is the usual x-adic precision bound.  Any other character, a literal
+longer than int() converts, and an index k or order M - 1 with
+q^|k| > 2^1024 (``FieldConfig.check_twist``: |k| <= 1024 for q = 2) is
+a ParseError at its position.
 """
 
 from __future__ import annotations
@@ -305,8 +307,11 @@ class _Parser:
 
     # -- composition series --
 
-    def tmono(self):
-        self.expect("NAME", "t")
+    def tmono(self, name="k", shift=0):
+        """t^[q^k]: the index k less ``shift``, refused by ``check_twist``
+        under ``name`` when it is out of range."""
+        pos = self.expect("NAME", "t")[2]
+        k = 0
         if self.at("SYM", "^"):
             self.advance()
             self.expect("SYM", "[")
@@ -314,8 +319,11 @@ class _Parser:
             self.expect("SYM", "^")
             k = self.integer("composition index")
             self.expect("SYM", "]")
-            return k
-        return 0
+        try:
+            self.field.check_twist(k - shift, name)
+        except ValidationError as exc:
+            raise ParseError(str(exc), pos) from None
+        return k - shift
 
     def cterm(self, items):
         """A (k, coefficient) pair, or None for "0", the exact zero series,
@@ -330,7 +338,7 @@ class _Parser:
         return self.tmono(), coef
 
     def comp_sum(self):
-        items, bounds = self.signed_sum(self.cterm, lambda: self.tmono() - 1)
+        items, bounds = self.signed_sum(self.cterm, lambda: self.tmono("M - 1", 1))
         terms = {}
         for neg, item in items:
             if item is not None:

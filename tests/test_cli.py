@@ -312,19 +312,25 @@ def assert_exits_2_within_5s(argv):
         ["power", "--p", "2", "t + x*t^[q^1]", "--k", "100000000", "--order", "3"],
         ["add", "--p", "1000000000000000003", "x", "x"],
         ["add", "--p", "2", "--s", "300", "x", "x"],
+        ["compose", "--p", "2", "x*t^[q^20000]", "x*t"],
+        ["eval", "--p", "2", "x*t + O(t^[q^100000000])", "x^2"],
     ],
     ids=["tau-j", "tau-negative-j", "bracket-k", "bracket-negative-k", "bracket-large-q", "power-k",
-         "field-p", "field-degree"],
+         "field-p", "field-degree", "text-index", "text-order"],
 )
 def test_size_caps_exit_2_in_bounded_time(argv):
-    """Twist counts, bracket indices and powers with q^|k| > 2^1024, and
-    fields with more than 2^32 elements, are refused before the work."""
+    """Twist counts, bracket indices, powers and text-grammar indices with
+    q^|k| > 2^1024, and fields with more than 2^32 elements, are refused
+    before the work."""
     assert_exits_2_within_5s(argv)
 
 
 ODE_X = {"field": {"p": 2}, "a": [{"j": 0, "k": 0, "coef": "x"}]}
 FAR_J = {"j": 100000000, "k": 0, "coef": "x^-1"}
 FAR_K = {"j": 0, "k": 100000000, "coef": "x"}
+RIC = {"field": {"p": 2}, "lam": "x^{1/4}"}
+FAR = [{"k": 100000000, "coef": "x"}]
+X_DOC = {"prec": None, "terms": [{"e": {"num": 1, "den_exp": 0}, "c": [1]}]}
 
 
 @pytest.mark.parametrize(
@@ -338,14 +344,18 @@ FAR_K = {"j": 0, "k": 100000000, "coef": "x"}
         (["solve-ode", "--order", "3", "--check"], {**ODE_X, "a": ODE_X["a"] + [FAR_J]}),
         (["solve-ode", "--order", "3"], {**ODE_X, "a": ODE_X["a"] + [FAR_K]}),
         (["solve-ode", "--order", "3", "--check"], {**ODE_X, "a": ODE_X["a"] + [FAR_K]}),
+        (["solve-riccati", "--order", "3", "--xprec", "8"], {**RIC, "r": FAR}),
+        (["solve-riccati", "--order", "3", "--xprec", "8"], {**RIC, "p": FAR}),
+        (["certify"], {"field": {"p": 2}, "u": {"N": None, "terms": [{"k": 100000000, "coef": X_DOC}]}}),
+        (["certify"], {"field": {"p": 2}, "u": {"N": 100000000, "terms": []}}),
     ],
     ids=["ode-order", "implicit-order", "invert-order", "order-past-bound", "ode-j", "ode-j-check",
-         "ode-k", "ode-k-check"],
+         "ode-k", "ode-k-check", "riccati-r", "riccati-p", "json-index", "json-order"],
 )
 def test_order_and_ode_index_exit_2_in_bounded_time(tmp_path, monkeypatch, argv, doc):
-    """A finite --order N with q^N > 2^1024, and an ODE index j or power k
-    with q^j or q^k > 2^1024, are refused before the work, with or without
-    --check."""
+    """A finite --order N with q^N > 2^1024, an ODE index j or power k, a
+    Riccati index of p or r, and a JSON composition index k or order N with
+    q^|k| > 2^1024, are refused before the work, with or without --check."""
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
     if doc is not None:
         argv = argv + ["-i", write_doc(tmp_path, "doc.json", doc)]

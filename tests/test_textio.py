@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fqlin import INF, CompSeries, PerfSeries
-from fqlin.errors import KernelError, ParseError
+from fqlin.errors import KernelError, ParseError, ValidationError
 from fqlin.textio import (
     emit_comp_series,
     emit_perf_series,
@@ -219,3 +219,22 @@ def test_parse_rejects_malformed():
     for bad in ["", "^2", "x^{1/3}", "x^{1/0}", "t^[2]", "(x", "x^{1/2", "g^"]:
         with pytest.raises(ParseError):
             parse_series(F2, bad)
+
+
+def test_indices_and_orders_are_bounded_at_their_position():
+    # over F_2, |k| <= 1024 for an index and for the order M - 1 of a marker,
+    # the same bound as the "k" and "N" of a JSON composition series
+    from fqlin.jsonio import decode_comp, encode_comp
+
+    edge = parse_comp_series(F2, "t^[q^1024] + x*t^[q^-1024] + O(t^[q^1025])")
+    assert sorted(edge.terms) == [-1024, 1024] and edge.order == 1024
+    assert parse_comp_series(F2, emit_comp_series(edge)) == edge
+    assert decode_comp(F2, encode_comp(edge)) == edge
+    for text, pos in [("t^[q^1025]", 0), ("x*t^[q^-1025]", 2), ("t + O(t^[q^1026])", 6), ("O(t^[q^-1024])", 2)]:
+        with pytest.raises(ParseError) as info:
+            parse_comp_series(F2, text)
+        assert info.value.position == pos
+    one = encode_comp(edge)["terms"][0]["coef"]
+    for doc in ({"N": 1025, "terms": []}, {"N": None, "terms": [{"k": -1025, "coef": one}]}):
+        with pytest.raises(ValidationError):
+            decode_comp(F2, doc)
