@@ -269,12 +269,8 @@ def build_parser():
     for name, command in COMMAND_TABLE.items():
         sub = subs.add_parser(name, parents=[common], help=command.help)
         for pos, _ in command.inputs:
-            sub.add_argument(
-                pos,
-                nargs="?",
-                help=f"series expression (or supply it in the input document); each index k in t^[q^k] "
-                f"and order N = M - 1 of O(t^[q^M]) needs q^|k|, q^|N| <= 2^{MAX_TWIST_BITS}",
-            )
+            limit = f"each index k of t^[q^k] and order M - 1 of O(t^[q^M]) needs q^|k| <= 2^{MAX_TWIST_BITS}"
+            sub.add_argument(pos, nargs="?", help=f"series expression (or supply it in the input document); {limit}")
         for flag in command.options:
             limit = f"q^|{flag}| <= 2^{MAX_TWIST_BITS}, so |{flag}| <= 1024 for q = 2"
             sub.add_argument(f"--{flag}", type=int, required=True, help=limit)

@@ -162,16 +162,11 @@ def test_eval_and_certify():
     code, out = run_command(["certify", "--p", "2", "x^-2*t^[q^1] + x^-4*t^[q^2] + O(t^[q^3])"])
     assert code == 0
     assert out["result"] == {"kappa": {"num": 1, "den_exp": 0}, "order": 2}
-
-
-def test_negative_indices_certify_and_eval_exactly():
-    # q^k with k < 0 is formed as a Fraction, so kappa and the tail bound are exact
+    # negative indices: q^k with k < 0 is a Fraction, so kappa and the tail are exact
     code, out = run_command(["certify", "--p", "3", "x^{-1/9}*t^[q^-1]"])
     assert code == 0 and out["result"]["kappa"] == {"num": 1, "den_exp": 1}
     code, out = run_command(["certify", "--p", "2", "x^-1*t^[q^-1024]"])
     assert code == 0 and out["result"]["kappa"] == {"num": 2**1024, "den_exp": 0}
-    code, out = run_command(["eval", "--p", "3", "x^{-1/9}*t^[q^-1]", "x^{1/3}"])
-    assert code == 3 and out is None  # v(t0) = kappa = 1/3
     code, out = run_command(["eval", "--p", "3", "x*t^[q^-7] + O(t^[q^-5])", "x^5"])
     assert code == 0 and out["result"]["text"] == "O(x^{5/243})"
 
@@ -179,6 +174,8 @@ def test_negative_indices_certify_and_eval_exactly():
 def test_eval_outside_domain_is_precondition_error():
     code, out = run_command(["eval", "--p", "2", "x^-2*t^[q^1] + O(t^[q^2])", "x"])
     assert code == 3 and out is None
+    code, out = run_command(["eval", "--p", "3", "x^{-1/9}*t^[q^-1]", "x^{1/3}"])
+    assert code == 3 and out is None  # v(t0) = kappa = 1/3
 
 
 def test_residual_check_pass_and_fail(tmp_path):

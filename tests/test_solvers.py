@@ -447,6 +447,18 @@ def test_residual_builds_each_power_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_riccati_residual_reads_no_coefficient_past_its_cut():
+    # y o y is cut like every power: a candidate from index -2 reads y_j
+    # only up to j = order + 2, so the root twist of y_6 = x^{1/128} by
+    # 1/q^2, off the exponent grid at perfection depth 8, is never formed
+    x = PerfSeries.x_pow
+    prob = RiccatiProblem(x(F2, Fraction(1, 4)), {1: x(F2, 1)}, {0: x(F2, Fraction(1, 2))})
+    y = CompSeries(F2, {-2: PerfSeries.one(F2), 6: x(F2, Fraction(1, 128))})
+    res = residual(prob, y, 2)
+    assert res == residual(prob, CompSeries(F2, {-2: PerfSeries.one(F2)}), 2)
+    assert res.order == 2 and sorted(res.terms) == [-4, -3, -1, 0]
+
+
 # -- a seeded sweep of residuals pinned by digest ---------------------------
 
 PIN_FIELDS = [F2, F3, F4, FieldConfig(p=3, s=2), FieldConfig(p=2, s=2)]
