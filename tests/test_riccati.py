@@ -413,6 +413,39 @@ def test_solve_riccati_sweep_pinned():
     assert digest == "13017267a6f69c5b0df56934ad7083b6379cebee147e1f6e940df947c38a853e"
 
 
+def _x(cfg, exp, coeff=1):
+    return PerfSeries.x_pow(cfg, Fraction(exp), coeff)
+
+
+# the benchmark's riccati shapes, fields and branches (test-local copy)
+BENCH_SHAPES = [
+    (F2, "zero"), (F3, "zero"), (F4, "zero"), (F9_OVER_F3, "zero"), (F9_OVER_F3, "nonzero"),
+    (F4_OVER_F2, "nonzero"),
+]
+
+
+def bench_shaped_problem(rng, cfg, branch):
+    """lambda at valuation exactly 1/q^2, p_1 one and r_0 two above it."""
+    floor = Fraction(1, cfg.q**2)
+    lam, p1, r0 = (PerfSeries.x_pow(cfg, floor + k, _sweep_elem(rng, cfg)) for k in (0, 1, 2))
+    return RiccatiProblem(lam, {1: p1}, {0: r0}, branch)
+
+
+def test_solve_riccati_bench_shapes_pinned():
+    # 144 bench-shaped problems (six shapes, four seeds, orders 3 and 5,
+    # xprec 10, 20 and 40) and the ROADMAP problem at order 5: where the lift
+    # divides out to q times the digits it keeps, outputs and traces pinned
+    lines = []
+    for cfg, branch in BENCH_SHAPES:
+        for seed in range(4):
+            prob = bench_shaped_problem(random.Random(f"bench shape {seed}"), cfg, branch)
+            lines += [_sweep_outcome(prob, n, Fraction(xp)) for n in (3, 5) for xp in (10, 20, 40)]
+    road = RiccatiProblem(_x(F2, "1/4"), {1: _x(F2, 1)}, {0: _x(F2, "1/2")})
+    lines += [_sweep_outcome(road, 5, Fraction(xp)) for xp in (10, 20, 40)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "38fd1e9e566b147c3ba3f5c953268a5aaf1320231036dbc8ba98041608c38430"
+
+
 # ---------------------------------------------------------------------------
 # the Hensel lift against a copy that forms every residual
 
@@ -543,10 +576,6 @@ def test_lift_reads_rhs_precision_as_the_cut():
     assert trace[0]["steps"] == [{"mu": 1, "residuals": [2, Fraction(9, 4)]}]
     assert solve_checking_each_lift(prob, 4, Fraction(6), cuts) == [0, 1, 2, 3]
     assert any(cuts)
-
-
-def _x(cfg, exp, coeff=1):
-    return PerfSeries.x_pow(cfg, Fraction(exp), coeff)
 
 
 @pytest.mark.parametrize(
