@@ -62,18 +62,21 @@ number of iterations that contraction needs to reach the working
 precision, and w keeps only the digits its last residual determines.
 Each step divides by the binomial alpha exactly (``PerfSeries.div``);
 1/alpha is never formed.  Because alpha is exact, an iteration forms
-neither alpha w nor the residual rhs - (alpha w - beta w^q):
+neither alpha w nor the residual rhs - (alpha w - beta w^q), and divides
+w only to its reach, as far as something later reads it:
 
 * alpha w is the numerator rhs + beta w_old^q cut at prec(w) + v(alpha),
-  since the division consumes every remainder term below that (and is the
-  numerator itself when w is exact);
-* so below T = min(prec rhs, prec(w) + v(alpha), prec beta w^q), the
-  residual's own precision, the residual has exactly the terms of
-  beta w^q - beta w_old^q.  Its valuation is the first exponent below T
-  at which the two term lists differ, or T when they agree (zero modulo
-  T).
-
-An iteration thus takes one division and one product, beta w^q.
+  so below T = min(prec rhs, prec(w) + v(alpha), prec beta w^q), the
+  residual's own precision, the residual is beta (w - w_old)^q (Frobenius
+  is additive): of valuation v(beta) + q v(w - w_old), or T when the
+  iterates agree below (T - v(beta))/q.  T is a formula in the precisions
+  that a division out to the working precision would carry, so it is
+  known before the division.
+* The output reads w below min(wprec, T - v(alpha)), the trace below
+  (T - v(beta))/q, the next numerator below (R + v(alpha) - v(beta))/q
+  for a next reach R.  An iterate before the last is read only past
+  v(beta) - v(alpha) + q (res - v(alpha)), res the last residual
+  valuation: the contraction's prediction of its difference to the next.
 
 ``residual`` back-substitutes a candidate into the one shape that the
 three families share, sum_k P_k o z^{o k} = 0 (implicit) or = d z, with
@@ -102,6 +105,7 @@ from .fields import (
     DEFAULT_XPREC,
     INF,
     PerfSeries,
+    _scaled,
     den_exp,
     difference_valuation,
     least_factor_degree,
@@ -366,22 +370,29 @@ def _hensel_bound(v_e, v_alpha, v_beta, q, stop):
     return count
 
 
+def _grid_ceil(fld, x):
+    """The least exponent on the field's grid at or above x."""
+    return Fraction(math.ceil(x * fld._scale), fld._scale)
+
+
 def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
     """The small solution of alpha w - beta w^q = rhs with v(w) >= 0,
     Hensel-lifted to x-adic precision wprec; errors name the Riccati step l.
 
-    alpha must be exact.  Then each iteration reads the residual's
-    valuation off beta w^q and the previous iteration's: alpha w is the
-    division's numerator rhs + beta w_old^q cut at prec(w) + v(alpha), so
-    below the residual's precision T = min(prec rhs, prec(w) + v(alpha),
-    prec beta w^q) the residual equals beta w^q - beta w_old^q term for
-    term (see the module docstring).  The residue-root monomial's residual
-    is formed in full."""
+    alpha must be exact.  Then below the residual's precision T =
+    min(prec rhs, prec(w) + v(alpha), prec beta w^q), a formula in
+    precisions known before the division, the residual of an iterate is
+    beta (w - w_old)^q: its valuation is read off the two iterates.  Each
+    iterate is divided only to its reach, as far as the output, that
+    valuation and the next numerator read it (see the module docstring).
+    The residue-root monomial's residual is formed in full."""
     fld = alpha.field
     q = fld.q
     v_alpha = valuation(alpha).value
     v_beta = valuation(beta).value
     stop = max(Fraction(wprec) + v_alpha, q * Fraction(wprec) + v_beta)
+    limit = stop - 2 * v_alpha + 1  # the precision of 1/alpha in a division to stop
+    step = Fraction(1, fld._scale)  # one step of the exponent grid
     if rhs.is_zero():
         return PerfSeries.zero(fld, prec=min(rhs.prec - v_alpha, (rhs.prec - v_beta) / q))
     v_r = valuation(rhs).value
@@ -413,15 +424,31 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
         res_vals = [valuation(res).value]
         converged = res.is_zero() or res_vals[-1] >= stop
         bounds.append(0 if converged else _hensel_bound(res_vals[0] - v_alpha, v_alpha, v_beta, q, stop))
+        # w and beta w^q divided out to stop would carry prec_w <= cap_w and
+        # prec_bwq <= cap_bwq, the numerator alpha w having valuation lead
+        prec_bwq, lead = bwq.prec, v_alpha + mu
+        cap_w, cap_bwq = min(rhs.prec - v_alpha, limit + lead), beta.prec + q * mu
+        top = cap_w + v_alpha  # no T exceeds it
+        # the output and the trace read w below full, the next numerator below feed
+        read = _grid_ceil(fld, (top - v_beta) / q)
+        full = max(_grid_ceil(fld, min(wprec, top - v_alpha)), read, mu + step)
+        feed = _grid_ceil(fld, (full + v_alpha - v_beta) / q)
         for _ in range(bounds[-1]):
             if converged:
                 break
-            w = (rhs + bwq).div(alpha, prec=stop - 2 * v_alpha + 1)
-            bwq_old, bwq = bwq, beta * w.frobenius(1)
-            # alpha w is rhs + bwq_old cut at prec(w) + v(alpha), so below that
-            # and the other precisions res = rhs - (alpha w - bwq) = bwq - bwq_old
-            cut = min(rhs.prec, w.prec + v_alpha, bwq.prec)
-            v_now, nonzero = difference_valuation(bwq, bwq_old, cut)
+            _scaled(fld, limit)  # an off-grid limit fails here, as a division to stop would
+            prec_w = min(cap_w, prec_bwq - v_alpha)
+            prec_bwq = min(cap_bwq, q * prec_w + v_beta)
+            cut = min(prec_w + v_alpha, prec_bwq)  # prec_w + v(alpha) <= prec rhs
+            # w - w_old = res / alpha is at d, the next difference predicted at e
+            d = res_vals[-1] - v_alpha
+            e = v_beta - v_alpha + q * d
+            reach = full if e + v_alpha >= min(stop, cut) else max(min(max(d, e) + step, read), feed)
+            w_old, w = w, (rhs + bwq).div(alpha, prec=min(prec_w, reach) - lead)
+            bwq = beta * w.frobenius(1)
+            # below the cut, res = bwq - bwq_old = beta (w - w_old)^q
+            v_diff, nonzero = difference_valuation(w, w_old, _grid_ceil(fld, (cut - v_beta) / q))
+            v_now = v_beta + q * v_diff if nonzero else cut
             if nonzero and v_now <= res_vals[-1]:
                 break  # stalled: not the contracting branch
             res_vals.append(v_now)

@@ -446,6 +446,27 @@ def test_solve_riccati_bench_shapes_pinned():
     assert digest == "38fd1e9e566b147c3ba3f5c953268a5aaf1320231036dbc8ba98041608c38430"
 
 
+# quotient digits of one order-5, xprec-20 solve of bench_shaped_problem at
+# seed 0, when the lift divided every iterate out to its working precision
+DIVIDED_TO_STOP = [(F9_OVER_F3, "nonzero", 5681), (F4_OVER_F2, "nonzero", 3295), (F3, "zero", 2326)]
+
+
+@pytest.mark.parametrize("cfg, branch, to_stop", DIVIDED_TO_STOP, ids=["F9-nonzero", "F4-q2-nonzero", "F3-zero"])
+def test_lift_divides_each_iterate_only_to_its_reach(cfg, branch, to_stop, monkeypatch):
+    # an iterate is divided only as far as the output, the trace and the next
+    # numerator read it, which leaves at most 40% of those digits
+    div, digits = PerfSeries.div, [0]
+
+    def counting_div(self, other, prec=INF):
+        out = div(self, other, prec)
+        digits[0] += len(out.terms)
+        return out
+
+    monkeypatch.setattr(PerfSeries, "div", counting_div)
+    solve_riccati(bench_shaped_problem(random.Random("bench shape 0"), cfg, branch), 5, xprec=Fraction(20))
+    assert digits[0] <= 0.4 * to_stop
+
+
 # ---------------------------------------------------------------------------
 # the Hensel lift against a copy that forms every residual
 
@@ -552,11 +573,12 @@ def solve_checking_each_lift(prob, order, xprec, cuts=None):
 
 
 @given(st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_lift_matches_the_residual_forming_copy(data):
     cfg, branch = data.draw(st.sampled_from(BRANCH_CASES + [(FieldConfig(p=5), "zero"), (F4, "zero")]))
     prob = admissible_problem(data, cfg, branch, inexact=True)
-    solve_checking_each_lift(prob, data.draw(st.integers(1, 4)), Fraction(data.draw(st.sampled_from((6, 10, 16)))))
+    xprec = Fraction(data.draw(st.sampled_from((40, 20, 16, 10, 6))))
+    solve_checking_each_lift(prob, data.draw(st.integers(1, 4)), xprec)
 
 
 def test_lift_reads_rhs_precision_as_the_cut():
