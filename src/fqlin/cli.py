@@ -83,6 +83,13 @@ class Command(NamedTuple):
     options: tuple = ()  # required integer options, recorded in the manifest
 
 
+def _power(call, z):
+    # the indices of z^{o k} reach k times z's largest |index|: refuse past the bound first
+    if call.args.k > 0:
+        z.field.check_twist(call.args.k * max(map(abs, z.terms), default=0), "k * max index of z")
+    return z.self_power(call.args.k)
+
+
 def _add(call, a, b):
     if type(a) is not type(b):
         raise ValidationError("add needs two series of the same kind")
@@ -202,9 +209,7 @@ AB = (("a", COMP), ("b", COMP))
 COMMAND_TABLE = {
     "add": Command("sum of two series", _add, (("a", SERIES), ("b", SERIES))),
     "compose": Command("functional composition a o b", lambda call, a, b: a.compose(b), AB),
-    "power": Command(
-        "k-th compositional self-power", lambda call, z: z.self_power(call.args.k), (("z", COMP),), ("k",)
-    ),
+    "power": Command("k-th compositional self-power", _power, (("z", COMP),), ("k",)),
     "invert": Command(
         "compositional inverse of a unit",
         lambda call, u: invert_unit(u, order=call.args.order, xprec=call.xprec),
@@ -273,6 +278,8 @@ def build_parser():
             sub.add_argument(pos, nargs="?", help=f"series expression (or supply it in the input document); {limit}")
         for flag in command.options:
             limit = f"q^|{flag}| <= 2^{MAX_TWIST_BITS}, so |{flag}| <= 1024 for q = 2"
+            if name == "power":
+                limit += "; the same bound holds for k times the largest |index| of z"
             sub.add_argument(f"--{flag}", type=int, required=True, help=limit)
     return parser
 

@@ -307,18 +307,19 @@ def assert_exits_2_within_5s(argv):
         ["bracket", "--p", "2", "--k", "-100000000"],
         ["bracket", "--p", "65537", "--k", "1024"],
         ["power", "--p", "2", "t + x*t^[q^1]", "--k", "100000000", "--order", "3"],
+        ["power", "--p", "2", "x*t^[q^1024]", "--k", "1024"],
         ["add", "--p", "1000000000000000003", "x", "x"],
         ["add", "--p", "2", "--s", "300", "x", "x"],
         ["compose", "--p", "2", "x*t^[q^20000]", "x*t"],
         ["eval", "--p", "2", "x*t + O(t^[q^100000000])", "x^2"],
     ],
     ids=["tau-j", "tau-negative-j", "bracket-k", "bracket-negative-k", "bracket-large-q", "power-k",
-         "field-p", "field-degree", "text-index", "text-order"],
+         "power-index", "field-p", "field-degree", "text-index", "text-order"],
 )
 def test_size_caps_exit_2_in_bounded_time(argv):
-    """Twist counts, bracket indices, powers and text-grammar indices with
-    q^|k| > 2^1024, and fields with more than 2^32 elements, are refused
-    before the work."""
+    """Twist counts, bracket indices, powers, a power times the largest index
+    of its argument and text-grammar indices with q^|k| > 2^1024, and fields
+    with more than 2^32 elements, are refused before the work."""
     assert_exits_2_within_5s(argv)
 
 
