@@ -440,10 +440,10 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
             prec_w = min(cap_w, prec_bwq - v_alpha)
             prec_bwq = min(cap_bwq, q * prec_w + v_beta)
             cut = min(prec_w + v_alpha, prec_bwq)  # prec_w + v(alpha) <= prec rhs
-            # w - w_old = res / alpha is at d, the next difference predicted at e
-            d = res_vals[-1] - v_alpha
-            e = v_beta - v_alpha + q * d
-            reach = full if e + v_alpha >= min(stop, cut) else max(min(max(d, e) + step, read), feed)
+            # w - w_old = res / alpha is at res - v(alpha); contracting, the next
+            # difference is predicted at e, above it
+            e = v_beta - v_alpha + q * (res_vals[-1] - v_alpha)
+            reach = full if e + v_alpha >= min(stop, cut) else max(min(e + step, read), feed)
             w_old, w = w, (rhs + bwq).div(alpha, prec=min(prec_w, reach) - lead)
             bwq = beta * w.frobenius(1)
             # below the cut, res = bwq - bwq_old = beta (w - w_old)^q
