@@ -440,8 +440,8 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
             prec_w = min(cap_w, prec_bwq - v_alpha)
             prec_bwq = min(cap_bwq, q * prec_w + v_beta)
             cut = min(prec_w + v_alpha, prec_bwq)  # prec_w + v(alpha) <= prec rhs
-            # w - w_old = res / alpha is at res - v(alpha); contracting, the next
-            # difference is predicted at e, above it
+            # w - w_old = res / alpha is at res - v(alpha); contracting, w differs from
+            # the next iterate at e, and w is the last once e + v(alpha) >= stop or T
             e = v_beta - v_alpha + q * (res_vals[-1] - v_alpha)
             reach = full if e + v_alpha >= min(stop, cut) else max(min(e + step, read), feed)
             w_old, w = w, (rhs + bwq).div(alpha, prec=min(prec_w, reach) - lead)

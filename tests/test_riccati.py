@@ -433,8 +433,9 @@ def bench_shaped_problem(rng, cfg, branch):
 
 def test_solve_riccati_bench_shapes_pinned():
     # 144 bench-shaped problems (six shapes, four seeds, orders 3 and 5,
-    # xprec 10, 20 and 40) and the ROADMAP problem at order 5: where the lift
-    # divides out to q times the digits it keeps, outputs and traces pinned
+    # xprec 10, 20 and 40) and the ROADMAP problem at order 5, where the
+    # working precision q wprec + v(beta) far exceeds the wprec digits kept:
+    # the outputs with their Hensel traces are pinned
     lines = []
     for cfg, branch in BENCH_SHAPES:
         for seed in range(4):
@@ -577,6 +578,7 @@ def solve_checking_each_lift(prob, order, xprec, cuts=None):
 def test_lift_matches_the_residual_forming_copy(data):
     cfg, branch = data.draw(st.sampled_from(BRANCH_CASES + [(FieldConfig(p=5), "zero"), (F4, "zero")]))
     prob = admissible_problem(data, cfg, branch, inexact=True)
+    # the high precisions first, which hypothesis draws more often
     xprec = Fraction(data.draw(st.sampled_from((40, 20, 16, 10, 6))))
     solve_checking_each_lift(prob, data.draw(st.integers(1, 4)), xprec)
 
