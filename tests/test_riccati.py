@@ -413,6 +413,30 @@ def test_solve_riccati_sweep_pinned():
     assert digest == "13017267a6f69c5b0df56934ad7083b6379cebee147e1f6e940df947c38a853e"
 
 
+OFF_GRID_FIELDS = [FieldConfig(p=2, perf_depth=3), FieldConfig(p=3, perf_depth=2), FieldConfig(p=3, s=2, perf_depth=2)]
+
+
+def test_solve_riccati_off_grid_pinned():
+    # 300 problems over shallow fields (F_2 at depth 3, F_3 and F_9 at depth
+    # 2), where roots, working precisions and outputs leave the exponent grid:
+    # xprec on the grid, off it (denominator p^(depth + 1)) or INF.  The
+    # outputs with their Hensel traces, or each error's type and message, are
+    # pinned, which keeps the point where an off-grid precision raises
+    rng = random.Random("riccati off grid")
+    lines = []
+    for i in range(300):
+        cfg = OFF_GRID_FIELDS[i % len(OFF_GRID_FIELDS)]
+        prob = _sweep_problem(rng, cfg, ("zero", "nonzero")[i // len(OFF_GRID_FIELDS) % 2])
+        grid = cfg.p**cfg.perf_depth
+        xprec = rng.choice(
+            (Fraction(rng.randint(4, 10)), Fraction(rng.randint(4 * grid, 10 * grid), grid),
+             Fraction(rng.randint(4, 10)) + Fraction(rng.randint(1, cfg.p - 1), grid * cfg.p), INF)
+        )
+        lines.append(_sweep_outcome(prob, rng.randint(2, 4), xprec))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b491611326555344fe209c040c59881ff246779ca285b29b0a01088d7e8df155"
+
+
 def _x(cfg, exp, coeff=1):
     return PerfSeries.x_pow(cfg, Fraction(exp), coeff)
 
