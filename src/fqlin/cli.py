@@ -263,7 +263,7 @@ def build_parser():
     common.add_argument(
         "--order", type=non_negative_int, default=INF, help=f"truncation order N with q^N <= 2^{MAX_TWIST_BITS}"
     )
-    common.add_argument("--xprec", help="x-adic precision as num/den_exp, meaning num / p^den_exp")
+    common.add_argument("--xprec", help="x-adic precision num/den_exp = num / p^den_exp, den_exp <= perf_depth")
     common.add_argument("--branch", choices=["zero", "nonzero"], help="Riccati constant-term branch")
     common.add_argument("--check", action="store_true", help="back-substitute and fail on nonzero residual")
     common.add_argument("-i", "--input", metavar="FILE", help="JSON input document")
@@ -323,6 +323,8 @@ def _resolve_xprec(args, field):
         raise ValidationError(f"--xprec must look like num or num/den_exp, got {args.xprec!r}")
     if exp["num"] < 0:
         raise ValidationError(f"--xprec must be non-negative, got {args.xprec!r}")
+    if exp["den_exp"] > field.perf_depth:
+        raise ValidationError(f"--xprec den_exp must be <= perf_depth = {field.perf_depth}, got {args.xprec!r}")
     return decode_exp(exp, field.p)
 
 

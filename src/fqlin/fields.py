@@ -754,12 +754,21 @@ class PerfSeries:
 
     def div(self, other, prec=INF):
         """The quotient self / other: the terms and precision of
-        ``self * other.inv(prec)``, without forming the inverse.
+        ``self * other.inv(prec)``, without forming the inverse (``_div``)."""
+        if prec is None or prec == INF:
+            return self._div(other)
+        fld, prec = other.field, Fraction(prec)
+        n, r = divmod(prec.numerator * fld._scale, prec.denominator)
+        w = other._terms[0][0] if other._terms else None
+        if r and w is not None and n >= -w and (other._prec is None or n < other._prec - 2 * w):
+            _scaled(fld, prec)  # an off-grid request that sets the limit and leaves digits: raises
+        return self._div(other, n)
 
-        Long division emits one digit per leading term of the remainder,
-        so the cost is |quotient| * |other|: linear in the output for a
-        binomial divisor.
-        """
+    def _div(self, other, limit=None):
+        """``div`` to a requested precision limit in the stored form (None
+        for none).  Long division emits one digit per leading term of the
+        remainder, so the cost is |quotient| * |other|: linear in the output
+        for a binomial divisor."""
         fld = other.field
         if not other._terms:
             if other._prec is None:
@@ -768,23 +777,17 @@ class PerfSeries:
                 f"cannot divide by a series known only as O(x^{other.prec})"
             )
         w, c0 = other._terms[0]
-        scale = fld._scale
-        # the inverse's precision prec_d - 2*val_d, settled as a rational: a
-        # requested precision may lie off the exponent grid, which _scaled
-        # reports once it is the limit
-        limit = None if other._prec is None else Fraction(other._prec - 2 * w, scale)
-        if prec is not None and prec != INF:
-            limit = Fraction(prec) if limit is None else min(limit, Fraction(prec))
+        if other._prec is not None and (limit is None or other._prec - 2 * w < limit):
+            limit = other._prec - 2 * w
         ops = fld._ops
         if limit is None:
             if len(other._terms) == 1:
                 return self * PerfSeries._make(fld, [(-w, ops.inv(c0))], None)
-            limit = DEFAULT_XPREC - Fraction(w, scale)
-        if limit * scale <= -w:
+            limit = int(DEFAULT_XPREC) * fld._scale - w
+        if limit <= -w:
             raise PrecisionExhausted(
                 "inverse would carry no known digits at the requested precision"
             )
-        limit = _scaled(fld, limit)
         self._check(other)
         # __mul__'s rule against an inverse of valuation -w and precision
         # limit; with no known term, prec_a - w wins since limit > -w
@@ -852,13 +855,16 @@ class PerfSeries:
         if prec is None or prec == INF:
             return self
         prec = Fraction(prec)
-        scale = self.field._scale
-        if self._prec is not None and prec.numerator * scale >= self._prec * prec.denominator:
+        n, r = divmod(prec.numerator * self.field._scale, prec.denominator)
+        if r and (self._prec is None or n < self._prec):
+            _scaled(self.field, prec)  # off the grid below the precision: raises
+        return self._truncate(n)
+
+    def _truncate(self, n):
+        """``truncate`` at a precision n in the stored form."""
+        if self._prec is not None and n >= self._prec:
             return self
-        n = _scaled(self.field, prec)
-        return PerfSeries._make(
-            self.field, [t for t in self._terms if t[0] < n], n
-        )
+        return PerfSeries._make(self.field, [t for t in self._terms if t[0] < n], n)
 
     # -- comparison -----------------------------------------------------------
 
@@ -964,15 +970,12 @@ def valuation(a):
     return Valuation(a.prec, False)
 
 
-def difference_valuation(a, b, prec=INF):
-    """valuation(a - b) for a - b known below prec, read off the two sorted
-    term lists without forming the difference: the first exponent below
-    prec at which they differ, or prec (a lower bound) when they agree
-    below it."""
+def _first_difference(a, b, n):
+    """The first stored exponent below n (an int in the stored form) at
+    which a and b differ, read off the two sorted term lists without forming
+    a - b; None when they agree below n."""
     at, bt = a._terms, b._terms
-    n = next((min(ta[0], tb[0]) for ta, tb in zip(at, bt) if ta != tb), None)
-    if n is None and len(at) != len(bt):  # one list runs on past the other
-        n = (at if len(at) > len(bt) else bt)[min(len(at), len(bt))][0]
-    if n is None or (prec != INF and n >= _scaled(a.field, prec)):
-        return Valuation(prec, False)
-    return Valuation(Fraction(n, a.field._scale), True)
+    d = next((min(ta[0], tb[0]) for ta, tb in zip(at, bt) if ta != tb), None)
+    if d is None and len(at) != len(bt):  # one list runs on past the other
+        d = (at if len(at) > len(bt) else bt)[min(len(at), len(bt))][0]
+    return None if d is None or d >= n else d

@@ -60,23 +60,23 @@ solve, and a Hensel fixed-point lift w <- (rhs + beta w^q) / alpha whose
 error contracts as e -> (beta/alpha) e^q; the lift runs at most the
 number of iterations that contraction needs to reach the working
 precision, and w keeps only the digits its last residual determines.
-Each step divides by the binomial alpha exactly (``PerfSeries.div``);
-1/alpha is never formed.  Because alpha is exact, an iteration forms
-neither alpha w nor the residual rhs - (alpha w - beta w^q), and divides
-w only to its reach, as far as something later reads it:
+The lift runs on the stored form: every valuation, precision and reach is
+an int, exponent * p^perf_depth (Fractions only in the trace, in errors
+and for an off-grid wprec).  alpha is an exact binomial, so an iteration
+divides by it without forming 1/alpha, alpha w or the residual:
 
 * alpha w is the numerator rhs + beta w_old^q cut at prec(w) + v(alpha),
   so below T = min(prec rhs, prec(w) + v(alpha), prec beta w^q), the
   residual's own precision, the residual is beta (w - w_old)^q (Frobenius
   is additive): of valuation v(beta) + q v(w - w_old), or T when the
-  iterates agree below (T - v(beta))/q.  T is a formula in the precisions
-  that a division out to the working precision would carry, so it is
-  known before the division.
-* The output reads w below min(wprec, T - v(alpha)), the trace below
-  (T - v(beta))/q, the next numerator below (R + v(alpha) - v(beta))/q
-  for a next reach R.  An iterate before the last is read only past
-  v(beta) - v(alpha) + q (res - v(alpha)), res the last residual
-  valuation: the contraction's prediction of its difference to the next.
+  iterates agree below (T - v(beta))/q, with T known before the division.
+* w is divided only to its reach: the output reads it below full >=
+  min(wprec, T - v(alpha)), the trace below (T - v(beta))/q, and an iterate
+  before the last only past v(beta) - v(alpha) + q (v(res) - v(alpha)),
+  the contraction's prediction of its difference to the next.  Every
+  division stops at or below full + v(alpha) <= q feed + v(beta), feed =
+  ceil((full + v(alpha) - v(beta))/q), so beta w^q is formed from w below
+  feed alone.
 
 ``residual`` back-substitutes a candidate into the one shape that the
 three families share, sum_k P_k o z^{o k} = 0 (implicit) or = d z, with
@@ -92,6 +92,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import product
 
 from .carlitz import bracket, carlitz_d
 from .errors import (
@@ -104,10 +105,10 @@ from .errors import (
 from .fields import (
     DEFAULT_XPREC,
     INF,
+    FieldElem,
     PerfSeries,
+    _first_difference,
     _scaled,
-    den_exp,
-    difference_valuation,
     least_factor_degree,
     twisted_sum,
     valuation,
@@ -345,12 +346,15 @@ def _residue_root(fld, on_line, r0, a0, b0, q):
     r0*[0] - a0*w*[1] + b0*w^q*[q] = 0 restricted to the on-line indices.
 
     Returns a field element, or the extension degree needed when the
-    equation has no root in the scalar field."""
+    equation has no root in the scalar field.  The candidates are codes, in
+    the order of ``FieldConfig.elements()``: the constant coordinate slowest."""
     zero = fld.zero()
     monomials = {i: c for i, c in ((0, r0), (1, -a0), (q, b0)) if i in on_line}
-    for w in fld.elements():
-        if not w.is_zero() and sum((c * w**i for i, c in monomials.items()), zero).is_zero():
-            return w
+    c0, c1, cq = (monomials.get(i, zero).code for i in (0, 1, q))
+    add, mul, frob = fld._ops.add, fld._ops.mul, fld._ops.frob(fld.v) or (lambda c: c)
+    for w in map(sum, product(*[range(0, fld.p ** (i + 1), fld.p**i) for i in range(fld.degree)])):
+        if w and not add(add(c0, mul(c1, w)), mul(cq, frob(w))):
+            return FieldElem(fld, w)
     coeffs = [monomials.get(i, zero) for i in range(q + 1)]
     while coeffs[0].is_zero():
         coeffs = coeffs[1:]  # discard the root w = 0, found by direct search
@@ -370,11 +374,6 @@ def _hensel_bound(v_e, v_alpha, v_beta, q, stop):
     return count
 
 
-def _grid_ceil(fld, x):
-    """The least exponent on the field's grid at or above x."""
-    return Fraction(math.ceil(x * fld._scale), fld._scale)
-
-
 def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
     """The small solution of alpha w - beta w^q = rhs with v(w) >= 0,
     Hensel-lifted to x-adic precision wprec; errors name the Riccati step l.
@@ -383,81 +382,83 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
     min(prec rhs, prec(w) + v(alpha), prec beta w^q), a formula in
     precisions known before the division, the residual of an iterate is
     beta (w - w_old)^q: its valuation is read off the two iterates.  Each
-    iterate is divided only to its reach, as far as the output, that
-    valuation and the next numerator read it (see the module docstring).
-    The residue-root monomial's residual is formed in full."""
+    iterate is divided only to its reach and beta w^q formed from w below
+    feed, as far as the output, that valuation and the next numerator read
+    them (see the module docstring); every valuation and precision is an
+    int in the stored form.  The residue-root monomial's residual is
+    formed in full."""
     fld = alpha.field
-    q = fld.q
-    v_alpha = valuation(alpha).value
-    v_beta = valuation(beta).value
-    stop = max(Fraction(wprec) + v_alpha, q * Fraction(wprec) + v_beta)
-    limit = stop - 2 * v_alpha + 1  # the precision of 1/alpha in a division to stop
-    step = Fraction(1, fld._scale)  # one step of the exponent grid
+    q, scale = fld.q, fld._scale
+    stored = lambda s: INF if s._prec is None else s._prec  # a precision in the stored form
+    v_alpha, v_beta = alpha._terms[0][0], beta._terms[0][0]
     if rhs.is_zero():
-        return PerfSeries.zero(fld, prec=min(rhs.prec - v_alpha, (rhs.prec - v_beta) / q))
-    v_r = valuation(rhs).value
-    chord = v_r + Fraction(v_beta - v_r) / q
-    if v_alpha < chord:
-        candidates = [
-            (Fraction(v_r - v_alpha), (0, 1)),
-            (Fraction(v_alpha - v_beta) / (q - 1), (1, q)),
-        ]
-    elif v_alpha == chord:
-        candidates = [(Fraction(v_r - v_beta) / q, (0, 1, q))]
+        v_a, v_b = Fraction(v_alpha, scale), Fraction(v_beta, scale)
+        return PerfSeries.zero(fld, prec=min(rhs.prec - v_a, (rhs.prec - v_b) / q))
+    # stop = max(wprec + v(alpha), q wprec + v(beta)) is stop_n / den stored; grid values meet it at its ceiling
+    num, den = wprec.numerator * scale, wprec.denominator
+    stop_n = max(num + v_alpha * den, q * num + v_beta * den)
+    stop, w_floor, w_off = -(-stop_n // den), num // den, num % den
+    limit = stop - 2 * v_alpha + scale  # the precision of 1/alpha in a division to stop
+    v_r = rhs._terms[0][0]
+    chord = q * v_alpha - (q - 1) * v_r - v_beta  # v(alpha) against v_r + (v(beta) - v_r)/q
+    if chord < 0:  # mu = numerator / divisor
+        candidates = [(v_r - v_alpha, 1, (0, 1)), (v_alpha - v_beta, q - 1, (1, q))]
     else:
-        candidates = [(Fraction(v_r - v_beta) / q, (0, q))]
-    r0 = rhs.leading()[1]
-    a0 = alpha.leading()[1]
-    b0 = beta.leading()[1]
+        candidates = [(v_r - v_beta, q, (0, 1, q) if chord == 0 else (0, q))]
+    r0, a0, b0 = (s.leading()[1] for s in (rhs, alpha, beta))
     needed_degree = None
     bounds = []  # the Hensel bound of every root tried
-    for mu, on_line in candidates:
-        if mu < 0 or den_exp(mu, fld.p) is None:
-            continue
+    for mu_n, mu_d, on_line in candidates:
+        mu, off = divmod(mu_n, mu_d)
+        if mu < 0 or (off and mu_d < q):
+            continue  # negative, or a denominator that is no power of p
         root = _residue_root(fld, on_line, r0, a0, b0, q)
         if isinstance(root, int):
             needed_degree = root if needed_degree is None else min(needed_degree, root)
             continue
-        w = PerfSeries.x_pow(fld, mu, root)
+        w = PerfSeries.x_pow(fld, Fraction(mu_n, mu_d * scale), root)  # raises off the grid
         bwq = beta * w.frobenius(1)  # shared by this residual and the next update
         res = rhs - (alpha * w - bwq)
-        res_vals = [valuation(res).value]
+        res_vals = [res._terms[0][0] if res._terms else stored(res)]
         converged = res.is_zero() or res_vals[-1] >= stop
         bounds.append(0 if converged else _hensel_bound(res_vals[0] - v_alpha, v_alpha, v_beta, q, stop))
         # w and beta w^q divided out to stop would carry prec_w <= cap_w and
         # prec_bwq <= cap_bwq, the numerator alpha w having valuation lead
-        prec_bwq, lead = bwq.prec, v_alpha + mu
-        cap_w, cap_bwq = min(rhs.prec - v_alpha, limit + lead), beta.prec + q * mu
+        prec_bwq, lead = stored(bwq), v_alpha + mu
+        cap_w, cap_bwq = min(stored(rhs) - v_alpha, limit + lead), stored(beta) + q * mu
         top = cap_w + v_alpha  # no T exceeds it
         # the output and the trace read w below full, the next numerator below feed
-        read = _grid_ceil(fld, (top - v_beta) / q)
-        full = max(_grid_ceil(fld, min(wprec, top - v_alpha)), read, mu + step)
-        feed = _grid_ceil(fld, (full + v_alpha - v_beta) / q)
+        read = -((v_beta - top) // q)
+        full = max(min(w_floor + (w_off > 0), top - v_alpha), read, mu + 1)
+        feed = -((v_beta - v_alpha - full) // q)
         for _ in range(bounds[-1]):
             if converged:
                 break
-            _scaled(fld, limit)  # an off-grid limit fails here, as a division to stop would
+            if stop_n % den:  # an off-grid limit fails here, as a division to stop would
+                _scaled(fld, Fraction(stop_n + (scale - 2 * v_alpha) * den, den * scale))
             prec_w = min(cap_w, prec_bwq - v_alpha)
             prec_bwq = min(cap_bwq, q * prec_w + v_beta)
             cut = min(prec_w + v_alpha, prec_bwq)  # prec_w + v(alpha) <= prec rhs
             # w - w_old = res / alpha is at res - v(alpha); contracting, w differs from
             # the next iterate at e, and w is the last once e + v(alpha) >= stop or T
             e = v_beta - v_alpha + q * (res_vals[-1] - v_alpha)
-            reach = full if e + v_alpha >= min(stop, cut) else max(min(e + step, read), feed)
-            w_old, w = w, (rhs + bwq).div(alpha, prec=min(prec_w, reach) - lead)
-            bwq = beta * w.frobenius(1)
+            reach = full if e + v_alpha >= min(stop, cut) else max(min(e + 1, read), feed)
+            w_old, w = w, (rhs + bwq)._div(alpha, min(prec_w, reach) - lead)
+            bwq = beta * w._truncate(feed).frobenius(1)
             # below the cut, res = bwq - bwq_old = beta (w - w_old)^q
-            v_diff, nonzero = difference_valuation(w, w_old, _grid_ceil(fld, (cut - v_beta) / q))
-            v_now = v_beta + q * v_diff if nonzero else cut
-            if nonzero and v_now <= res_vals[-1]:
+            diff = _first_difference(w, w_old, -((v_beta - cut) // q))
+            v_now = cut if diff is None else v_beta + q * diff
+            if diff is not None and v_now <= res_vals[-1]:
                 break  # stalled: not the contracting branch
             res_vals.append(v_now)
-            converged = not nonzero or v_now >= stop
+            converged = diff is None or v_now >= stop
         if converged:
             if trace is not None:
-                trace.append({"mu": mu, "residuals": res_vals})
+                residuals = [v if v == INF else Fraction(v, scale) for v in res_vals]
+                trace.append({"mu": Fraction(mu_n, mu_d * scale), "residuals": residuals})
             # a residual that is zero only modulo its precision fixes fewer digits
-            return w.truncate(min(wprec, res_vals[-1] - v_alpha))
+            fixed = res_vals[-1] - v_alpha
+            return w.truncate(wprec) if w_off and fixed > w_floor else w._truncate(min(w_floor, fixed))
     if needed_degree is not None:
         raise NeedsFieldExtension(
             needed_degree,
@@ -493,13 +494,15 @@ def solve_riccati(prob, order, xprec=INF, trace=None):
         a0 = PerfSeries.constant(fld, root)
     terms = [(2, 0, lam)] + [(1, k, p_k) for k, p_k in prob.p.items()]
     terms += [(0, j, r_j) for j, r_j in prob.r.items()]
+    scale, minus_one = fld._scale, fld._ops.neg(1)
 
     def step(i, s):
         # the one term outside the list: p_i c^{q^i}, where c sits at index -1
         c_i = c.frobenius(i)
         if i in prob.p:
             s = s + prob.p[i] * c_i
-        alpha = PerfSeries(fld, [(Fraction(q) ** (i - 1), fld.one()), (Fraction(1, q**2), -fld.one())])
+        # x^{q^l} - x^{1/q^2} in the stored form; root_bracket put 1/q^2 on the grid
+        alpha = PerfSeries._make(fld, [(scale // q**2, minus_one), (q ** (i - 1) * scale, 1)], None)
         step_trace = None if trace is None else []
         w = _solve_additive(alpha, lam * c_i, s, wprec, i - 1, trace=step_trace)
         if trace is not None:

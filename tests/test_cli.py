@@ -242,6 +242,17 @@ def test_validation_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 2
         assert "--order" in capsys.readouterr().err
+    # an --xprec finer than the field's grid (den_exp 9 > perf_depth 8 over F_2)
+    # is refused where the flag is read, not recorded or failed on in a solver
+    lift = str(Path(__file__).resolve().parents[1] / "fixtures" / "solve-riccati-lift" / "input.json")
+    for argv in (
+        ["add", "--p", "2", "x", "x", "--xprec", "1/9"],
+        ["solve-riccati", "--order", "3", "--xprec", "1/9", "-i", lift],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "--xprec" in err and "perf_depth = 8" in err, err
     # malformed documents: one error line on stderr, never exit 1 or 0
     huge = tmp_path / "huge.json"
     huge.write_text('{"field": {"p": ' + "1" * 5000 + "}}", encoding="utf-8")

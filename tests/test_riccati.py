@@ -32,7 +32,7 @@ from fqlin import (
 
 from conftest import F2, F3, F4, F4_OVER_F2, elems
 from fqlin import FieldConfig
-from fqlin.errors import KernelError
+from fqlin.errors import KernelError, PerfectionDepthExceeded
 import fqlin.solvers
 from fqlin.fields import INF, den_exp
 from fqlin.solvers import _hensel_bound, _residue_root
@@ -476,20 +476,86 @@ def test_solve_riccati_bench_shapes_pinned():
 DIVIDED_TO_STOP = [(F9_OVER_F3, "nonzero", 5681), (F4_OVER_F2, "nonzero", 3295), (F3, "zero", 2326)]
 
 
-@pytest.mark.parametrize("cfg, branch, to_stop", DIVIDED_TO_STOP, ids=["F9-nonzero", "F4-q2-nonzero", "F3-zero"])
+DIVIDED_IDS = ["F9-nonzero", "F4-q2-nonzero", "F3-zero"]
+
+
+@pytest.mark.parametrize("cfg, branch, to_stop", DIVIDED_TO_STOP, ids=DIVIDED_IDS)
 def test_lift_divides_each_iterate_only_to_its_reach(cfg, branch, to_stop, monkeypatch):
     # an iterate is divided only as far as the output, the trace and the next
-    # numerator read it, which leaves at most 40% of those digits
-    div, digits = PerfSeries.div, [0]
+    # numerator read it, which leaves at most 40% of those digits.  Every
+    # division, the public div's too, runs through the long-division core
+    div, digits = PerfSeries._div, [0]
 
-    def counting_div(self, other, prec=INF):
-        out = div(self, other, prec)
-        digits[0] += len(out.terms)
+    def counting_div(self, other, limit=None):
+        out = div(self, other, limit)
+        digits[0] += len(out._terms)
         return out
 
-    monkeypatch.setattr(PerfSeries, "div", counting_div)
+    monkeypatch.setattr(PerfSeries, "_div", counting_div)
     solve_riccati(bench_shaped_problem(random.Random("bench shape 0"), cfg, branch), 5, xprec=Fraction(20))
-    assert digits[0] <= 0.4 * to_stop
+    assert 0 < digits[0] <= 0.4 * to_stop
+
+
+# term pairs len(a) * len(b) of the lift's products on the same solves, when
+# beta w^q was formed from the whole of each iterate
+UNCUT_PAIRS = [1994, 2042, 916]
+
+
+@pytest.mark.parametrize("case, uncut", zip(DIVIDED_TO_STOP, UNCUT_PAIRS), ids=DIVIDED_IDS)
+def test_lift_forms_beta_wq_only_below_the_feed(case, uncut, monkeypatch):
+    # every later division stops at or below full + v(alpha) <= q feed + v(beta),
+    # so beta w^q is formed from w cut at feed, which leaves at most 70% of the pairs
+    (cfg, branch, _), lift, mul = case, fqlin.solvers._solve_additive, PerfSeries.__mul__
+    pairs, active = [0], [False]
+
+    def counting_mul(a, b):
+        if active[0]:
+            pairs[0] += len(a._terms) * len(b._terms)
+        return mul(a, b)
+
+    def counting_lift(*args, **kwargs):
+        active[0] = True
+        try:
+            return lift(*args, **kwargs)
+        finally:
+            active[0] = False
+
+    monkeypatch.setattr(PerfSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(fqlin.solvers, "_solve_additive", counting_lift)
+    solve_riccati(bench_shaped_problem(random.Random("bench shape 0"), cfg, branch), 5, xprec=Fraction(20))
+    assert 0 < pairs[0] <= 0.7 * uncut
+
+
+def test_lift_iterations_build_no_fraction(monkeypatch):
+    # the iterations run on the stored form: from a lift's first division to
+    # its last no Fraction is built.  The root's exponent, the trace and the
+    # errors are the edges, before the first division and after the last
+    lift, div, new = fqlin.solvers._solve_additive, PerfSeries._div, Fraction.__new__
+    built, marks, inside = [0], [], []
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    def marking_div(self, other, limit=None):
+        marks.append(built[0])
+        return div(self, other, limit)
+
+    def marked_lift(*args, **kwargs):
+        marks.clear()
+        out = lift(*args, **kwargs)
+        if len(marks) > 1:
+            inside.append(marks[-1] - marks[0])
+        return out
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(PerfSeries, "_div", marking_div)
+    monkeypatch.setattr(fqlin.solvers, "_solve_additive", marked_lift)
+    road = RiccatiProblem(_x(F2, "1/4"), {1: _x(F2, 1)}, {0: _x(F2, "1/2")})
+    solve_riccati(road, 5, xprec=Fraction(40), trace=[])
+    for cfg, branch, _ in DIVIDED_TO_STOP:
+        solve_riccati(bench_shaped_problem(random.Random("bench shape 0"), cfg, branch), 5, xprec=Fraction(20), trace=[])
+    assert len(inside) >= 10 and not any(inside), inside
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +666,28 @@ def solve_checking_each_lift(prob, order, xprec, cuts=None):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_lift_matches_the_residual_forming_copy(data):
-    cfg, branch = data.draw(st.sampled_from(BRANCH_CASES + [(FieldConfig(p=5), "zero"), (F4, "zero")]))
+    shallow = FieldConfig(p=2, perf_depth=3)  # roots and precisions leave its grid
+    cfg, branch = data.draw(st.sampled_from(BRANCH_CASES + [(FieldConfig(p=5), "zero"), (F4, "zero"), (shallow, "zero")]))
     prob = admissible_problem(data, cfg, branch, inexact=True)
-    # the high precisions first, which hypothesis draws more often
-    xprec = Fraction(data.draw(st.sampled_from((40, 20, 16, 10, 6))))
+    # the high precisions first, which hypothesis draws more often.  -k is 10
+    # plus a step k digits below the field's exponent grid: q wprec is on the
+    # grid (k = 1, q = p) or off it too (k = 2), so the error comes at the end
+    # of the lift or in its first iteration, where the copy must raise the same
+    xprec = Fraction(data.draw(st.sampled_from((40, 20, 16, 10, 6, -1, -2))))
+    if xprec < 0:
+        xprec = 10 + Fraction(1, cfg.p ** (cfg.perf_depth - xprec))
     solve_checking_each_lift(prob, data.draw(st.integers(1, 4)), xprec)
+
+
+def test_lift_raises_an_off_grid_limit_in_its_first_iteration():
+    # xprec = 10 + 2^-10 over F_2 (grid 2^-8): q wprec, and so the limit of a
+    # division to stop, is off the grid, and the first iteration raises there
+    # (the truncation to wprec at the end would name depth 10, not 9)
+    road = RiccatiProblem(_x(F2, "1/4"), {1: _x(F2, 1)}, {0: _x(F2, "1/2")})
+    xprec = 10 + Fraction(1, 2**10)
+    with pytest.raises(PerfectionDepthExceeded, match=r"^exponent 14721/512 needs perfection depth 9 > cap 8$"):
+        solve_riccati(road, 3, xprec=xprec)
+    assert solve_checking_each_lift(road, 3, xprec) == [0]
 
 
 def test_lift_reads_rhs_precision_as_the_cut():
