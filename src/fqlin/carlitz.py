@@ -19,19 +19,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import PerfSeries
+from .fields import PerfSeries, _scaled
 from .series import CompSeries
 
 
 def bracket(field, k):
-    """[k] = x^{q^k} - x as an exact scalar series."""
+    """[k] = x^{q^k} - x as an exact scalar series, built in the stored form."""
     field.check_twist(k, "k")
     if k == 0:
         return PerfSeries.zero(field)
-    exp = Fraction(field.q) ** k
-    return PerfSeries(
-        field, [(exp, field.one()), (Fraction(1), -field.one())]
-    )
+    scale, minus_one = field._scale, field._ops.neg(1)
+    if k > 0:
+        return PerfSeries._make(field, [(scale, minus_one), (field.q**k * scale, 1)], None)
+    n, r = divmod(scale, field.q**-k)
+    if r:
+        _scaled(field, Fraction(1, field.q**-k))  # raises off the grid
+    return PerfSeries._make(field, [(n, 1), (scale, minus_one)], None)
 
 
 def tau_power(u, j):

@@ -764,11 +764,14 @@ class PerfSeries:
             _scaled(fld, prec)  # an off-grid request that sets the limit and leaves digits: raises
         return self._div(other, n)
 
-    def _div(self, other, limit=None):
+    def _div(self, other, limit=None, twist=None):
         """``div`` to a requested precision limit in the stored form (None
         for none).  Long division emits one digit per leading term of the
         remainder, so the cost is |quotient| * |other|: linear in the output
-        for a binomial divisor."""
+        for a binomial divisor.  A ``twist`` beta makes it the w with other * w
+        = self + beta w^q: each digit d x^n adds beta d^q x^{qn} to the
+        remainder, past n when its first digit n_1 has (q - 1) n_1 > v(other)
+        - v(beta), and w is known below prec(beta) + q n_1 - v(other)."""
         fld = other.field
         if not other._terms:
             if other._prec is None:
@@ -781,7 +784,7 @@ class PerfSeries:
             limit = other._prec - 2 * w
         ops = fld._ops
         if limit is None:
-            if len(other._terms) == 1:
+            if len(other._terms) == 1 and twist is None:
                 return self * PerfSeries._make(fld, [(-w, ops.inv(c0))], None)
             limit = int(DEFAULT_XPREC) * fld._scale - w
         if limit <= -w:
@@ -797,6 +800,15 @@ class PerfSeries:
         qprec = limit + a[0][0]
         if pa is not None and pa - w < qprec:
             qprec = pa - w
+        bt = ()
+        if twist is not None:
+            self._check(twist)
+            q, n1, bt = fld.q, a[0][0] - w, twist._terms
+            if bt and (q - 1) * n1 <= w - bt[0][0]:
+                raise ValidationError("the twist does not contract: beta w^q would reach the current digit")
+            if twist._prec is not None and twist._prec + q * n1 - w < qprec:
+                qprec = twist._prec + q * n1 - w
+            frob = ops.frob(fld.v) or (lambda c: c)
         stop = qprec + w  # a remainder term from stop on gives no digit
         add, mul = ops.add, ops.mul
         c0_inv = ops.inv(c0)
@@ -809,7 +821,8 @@ class PerfSeries:
             c = rem.pop(n)
             if not c:
                 continue
-            digits.append((n - w, mul(c, c0_inv)))
+            d = mul(c, c0_inv)
+            digits.append((n - w, d))
             for m, t in tail:
                 key = n + m
                 if key >= stop:
@@ -819,6 +832,17 @@ class PerfSeries:
                 else:
                     rem[key] = mul(c, t)
                     heappush(heap, key)
+            if bt:  # the digit's beta d^q x^{qn}, past n when contracting
+                dq, base = frob(d), q * (n - w)
+                for m, b in bt:
+                    key = base + m
+                    if key >= stop:
+                        break
+                    if key in rem:
+                        rem[key] = add(rem[key], mul(dq, b))
+                    else:
+                        rem[key] = mul(dq, b)
+                        heappush(heap, key)
         return PerfSeries._make(fld, digits, qprec)
 
     def inv(self, prec=INF):
@@ -969,13 +993,3 @@ def valuation(a):
         return Valuation(Fraction(a._terms[0][0], a.field._scale), True)
     return Valuation(a.prec, False)
 
-
-def _first_difference(a, b, n):
-    """The first stored exponent below n (an int in the stored form) at
-    which a and b differ, read off the two sorted term lists without forming
-    a - b; None when they agree below n."""
-    at, bt = a._terms, b._terms
-    d = next((min(ta[0], tb[0]) for ta, tb in zip(at, bt) if ta != tb), None)
-    if d is None and len(at) != len(bt):  # one list runs on past the other
-        d = (at if len(at) > len(bt) else bt)[min(len(at), len(bt))][0]
-    return None if d is None or d >= n else d

@@ -49,7 +49,7 @@ class CompSeries:
         items = terms.items() if isinstance(terms, dict) else terms
         for k, coef in items:
             k = int(k)
-            if not isinstance(coef, PerfSeries) or coef.field != field:
+            if not isinstance(coef, PerfSeries) or (coef.field is not field and coef.field != field):
                 raise ValidationError("coefficients must be series over the same field")
             if k > order:
                 continue
@@ -96,7 +96,7 @@ class CompSeries:
         return not self.terms and self.order == INF
 
     def _check(self, other):
-        if not isinstance(other, CompSeries) or other.field != self.field:
+        if not isinstance(other, CompSeries) or (other.field is not self.field and other.field != self.field):
             raise ValidationError("mixed-field composition arithmetic")
 
     # -- additive structure ---------------------------------------------------

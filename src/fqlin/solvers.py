@@ -56,27 +56,17 @@ term that holds c, p_{l+1} c^{q^{l+1}}, and solves the additive equation
     beta = lambda c^{q^{l+1}},
 
 by a Newton-polygon analysis over the value group Z[1/p], a residue-field
-solve, and a Hensel fixed-point lift w <- (rhs + beta w^q) / alpha whose
-error contracts as e -> (beta/alpha) e^q; the lift runs at most the
-number of iterations that contraction needs to reach the working
-precision, and w keeps only the digits its last residual determines.
-The lift runs on the stored form: every valuation, precision and reach is
-an int, exponent * p^perf_depth (Fractions only in the trace, in errors
-and for an off-grid wprec).  alpha is an exact binomial, so an iteration
-divides by it without forming 1/alpha, alpha w or the residual:
-
-* alpha w is the numerator rhs + beta w_old^q cut at prec(w) + v(alpha),
-  so below T = min(prec rhs, prec(w) + v(alpha), prec beta w^q), the
-  residual's own precision, the residual is beta (w - w_old)^q (Frobenius
-  is additive): of valuation v(beta) + q v(w - w_old), or T when the
-  iterates agree below (T - v(beta))/q, with T known before the division.
-* w is divided only to its reach: the output reads it below full >=
-  min(wprec, T - v(alpha)), the trace below (T - v(beta))/q, and an iterate
-  before the last only past v(beta) - v(alpha) + q (v(res) - v(alpha)),
-  the contraction's prediction of its difference to the next.  Every
-  division stops at or below full + v(alpha) <= q feed + v(beta), feed =
-  ceil((full + v(alpha) - v(beta))/q), so beta w^q is formed from w below
-  feed alone.
+solve, and a Hensel lift.  Past the residue root w_0, w = w_0 + delta with
+alpha delta - beta delta^q = res_0, the root's residual (Frobenius is
+additive), and each digit of delta is fixed by earlier ones: delta is one
+long division of res_0 by the exact binomial alpha whose dividend gains
+beta d^q x^{qn} as each digit d x^n comes out (``PerfSeries._div`` with a
+twist), the relaxed evaluation again.  The fixed-point iterates
+w <- (rhs + beta w^q) / alpha are never formed.  Consecutive ones differ
+by res / alpha, so their residuals contract as v -> v(beta) +
+q (v - v(alpha)) below the precision a division to the working precision
+would carry; that recurrence, on ints exponent * p^perf_depth, gives the
+trace, the Hensel bound and stall checks, and the digits w keeps.
 
 ``residual`` back-substitutes a candidate into the one shape that the
 three families share, sum_k P_k o z^{o k} = 0 (implicit) or = d z, with
@@ -107,7 +97,6 @@ from .fields import (
     INF,
     FieldElem,
     PerfSeries,
-    _first_difference,
     _scaled,
     least_factor_degree,
     twisted_sum,
@@ -378,15 +367,10 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
     """The small solution of alpha w - beta w^q = rhs with v(w) >= 0,
     Hensel-lifted to x-adic precision wprec; errors name the Riccati step l.
 
-    alpha must be exact.  Then below the residual's precision T =
-    min(prec rhs, prec(w) + v(alpha), prec beta w^q), a formula in
-    precisions known before the division, the residual of an iterate is
-    beta (w - w_old)^q: its valuation is read off the two iterates.  Each
-    iterate is divided only to its reach and beta w^q formed from w below
-    feed, as far as the output, that valuation and the next numerator read
-    them (see the module docstring); every valuation and precision is an
-    int in the stored form.  The residue-root monomial's residual is
-    formed in full."""
+    alpha must be exact.  Only the residue-root monomial's residual is
+    formed; the later residual valuations follow from it, and w is the root
+    plus one twisted division of that residual by alpha (see the module
+    docstring).  Every valuation and precision is an int in the stored form."""
     fld = alpha.field
     q, scale = fld.q, fld._scale
     stored = lambda s: INF if s._prec is None else s._prec  # a precision in the stored form
@@ -417,20 +401,15 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
             needed_degree = root if needed_degree is None else min(needed_degree, root)
             continue
         w = PerfSeries.x_pow(fld, Fraction(mu_n, mu_d * scale), root)  # raises off the grid
-        bwq = beta * w.frobenius(1)  # shared by this residual and the next update
+        bwq = beta * w.frobenius(1)
         res = rhs - (alpha * w - bwq)
         res_vals = [res._terms[0][0] if res._terms else stored(res)]
         converged = res.is_zero() or res_vals[-1] >= stop
         bounds.append(0 if converged else _hensel_bound(res_vals[0] - v_alpha, v_alpha, v_beta, q, stop))
-        # w and beta w^q divided out to stop would carry prec_w <= cap_w and
-        # prec_bwq <= cap_bwq, the numerator alpha w having valuation lead
-        prec_bwq, lead = stored(bwq), v_alpha + mu
-        cap_w, cap_bwq = min(stored(rhs) - v_alpha, limit + lead), stored(beta) + q * mu
-        top = cap_w + v_alpha  # no T exceeds it
-        # the output and the trace read w below full, the next numerator below feed
-        read = -((v_beta - top) // q)
-        full = max(min(w_floor + (w_off > 0), top - v_alpha), read, mu + 1)
-        feed = -((v_beta - v_alpha - full) // q)
+        # the iterates, each divided out to stop, would carry prec_w <= cap_w
+        # and their beta w^q prec_bwq <= cap_bwq
+        prec_bwq, cap_bwq = stored(bwq), stored(beta) + q * mu
+        cap_w = min(stored(rhs) - v_alpha, limit + v_alpha + mu)
         for _ in range(bounds[-1]):
             if converged:
                 break
@@ -439,26 +418,27 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
             prec_w = min(cap_w, prec_bwq - v_alpha)
             prec_bwq = min(cap_bwq, q * prec_w + v_beta)
             cut = min(prec_w + v_alpha, prec_bwq)  # prec_w + v(alpha) <= prec rhs
-            # w - w_old = res / alpha is at res - v(alpha); contracting, w differs from
-            # the next iterate at e, and w is the last once e + v(alpha) >= stop or T
-            e = v_beta - v_alpha + q * (res_vals[-1] - v_alpha)
-            reach = full if e + v_alpha >= min(stop, cut) else max(min(e + 1, read), feed)
-            w_old, w = w, (rhs + bwq)._div(alpha, min(prec_w, reach) - lead)
-            bwq = beta * w._truncate(feed).frobenius(1)
-            # below the cut, res = bwq - bwq_old = beta (w - w_old)^q
-            diff = _first_difference(w, w_old, -((v_beta - cut) // q))
-            v_now = cut if diff is None else v_beta + q * diff
-            if diff is not None and v_now <= res_vals[-1]:
+            # w - w_old = res / alpha, so below the cut the next residual,
+            # beta (w - w_old)^q, is at v(beta) + q diff, or is zero there
+            diff = res_vals[-1] - v_alpha
+            agree = diff >= -((v_beta - cut) // q)
+            v_now = cut if agree else v_beta + q * diff
+            if not agree and v_now <= res_vals[-1]:
                 break  # stalled: not the contracting branch
             res_vals.append(v_now)
-            converged = diff is None or v_now >= stop
+            converged = agree or v_now >= stop
         if converged:
             if trace is not None:
                 residuals = [v if v == INF else Fraction(v, scale) for v in res_vals]
                 trace.append({"mu": Fraction(mu_n, mu_d * scale), "residuals": residuals})
             # a residual that is zero only modulo its precision fixes fewer digits
             fixed = res_vals[-1] - v_alpha
-            return w.truncate(wprec) if w_off and fixed > w_floor else w._truncate(min(w_floor, fixed))
+            if w_off and fixed > w_floor:
+                _scaled(fld, wprec)  # raises: the digits run past an off-grid wprec
+            keep = min(w_floor, fixed)
+            if keep > res_vals[0] - v_alpha:  # the fixed point of delta = (res + beta delta^q) / alpha
+                return w + res._div(alpha, keep - res_vals[0], twist=beta)
+            return w._truncate(keep)
     if needed_degree is not None:
         raise NeedsFieldExtension(
             needed_degree,

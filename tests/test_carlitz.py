@@ -7,13 +7,15 @@ by evaluating both sides at scalar points with plain arithmetic.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqlin import INF, CompSeries, PerfSeries, valuation
+from fqlin import INF, CompSeries, FieldConfig, PerfSeries, valuation
 from fqlin.carlitz import bracket, carlitz_d, carlitz_delta, tau_power
+from fqlin.errors import KernelError
 
-from conftest import F2, F3, F4, perf_series
+from conftest import F2, F3, F4, F4_OVER_F2, F9, field_id, perf_series
 from test_series import comp_series, ev
 
 
@@ -52,6 +54,33 @@ def test_bracket_valuations():
         for k in range(1, 4):
             assert valuation(bracket(cfg, k)).value == 1
         assert valuation(bracket(cfg, -1)).value == Fraction(1, cfg.q)
+
+
+BRACKET_FIELDS = [F2, F3, F4, F9, F4_OVER_F2, FieldConfig(p=2, perf_depth=3), FieldConfig(p=3, s=2, perf_depth=2)]
+
+
+def _constructed_bracket(cfg, k):
+    """[k] through the public constructor, as a result or an error."""
+    try:
+        return PerfSeries(cfg, [(Fraction(cfg.q) ** k, cfg.one()), (Fraction(1), -cfg.one())])
+    except KernelError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cfg", BRACKET_FIELDS, ids=field_id)
+def test_bracket_matches_the_constructor(cfg):
+    # the stored-form bracket equals the constructor's, terms and precision
+    # (k = 0 the exact zero), and raises the same error where a negative k
+    # leaves the exponent grid
+    for k in range(-12, 13):
+        try:
+            got = bracket(cfg, k)
+        except KernelError as exc:
+            got = type(exc), str(exc)
+        want = _constructed_bracket(cfg, k)
+        assert got == want, k
+        if isinstance(want, PerfSeries):
+            assert got._terms == want._terms and got._prec is None
 
 
 # -- tau ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ The residue-field oracle is sympy's finite-field polynomial toolkit
 which shares no code with fqlin.fields.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -657,6 +658,60 @@ def test_div_equals_product_with_inverse(data):
         st.one_of(st.none(), exponents(cfg, depth=2 * cfg.v, span=40), st.sampled_from(off_grid))
     )
     assert _outcome(lambda: x.div(d, prec=prec)) == _outcome(lambda: x * d.inv(prec=prec))
+
+
+TWIST_FIELDS = [F2, F3, F4, F9, F4_OVER_F2, FieldConfig(p=2, perf_depth=3)]
+
+
+def _led_series(data, cfg, lead, grid, exact):
+    """lead and up to three exponents above it (steps of 1/grid), nonzero
+    coefficients; known only to a precision above lead when not exact."""
+    nz = elems(cfg, nonzero=True)
+    exps = {lead} | {lead + Fraction(k, grid) for k in data.draw(st.lists(st.integers(1, 3 * grid), max_size=3))}
+    s = PerfSeries(cfg, [(e, data.draw(nz)) for e in sorted(exps)])
+    if not exact:
+        s = s + PerfSeries.zero(cfg, prec=lead + Fraction(data.draw(st.integers(1, 4 * grid)), grid))
+    return s
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_twisted_div_is_the_fixed_point(data):
+    # alpha w = N + beta w^q on the contracting side, v(N) - v(alpha) >
+    # (v(alpha) - v(beta)) / (q - 1): the one twisted long division solves
+    # the equation modulo w's precision and equals the fixed point of the
+    # public div, iterated to that precision
+    cfg = data.draw(st.sampled_from(TWIST_FIELDS))
+    q, grid = cfg.q, cfg.p ** min(2, cfg.perf_depth)
+    nz = elems(cfg, nonzero=True)
+    v_alpha = Fraction(data.draw(st.integers(-grid, 2 * grid)), grid)
+    top = v_alpha + Fraction(data.draw(st.integers(1, 4 * grid)), grid)
+    alpha = PerfSeries(cfg, [(v_alpha, data.draw(nz)), (top, data.draw(nz))])
+    v_beta = Fraction(data.draw(st.integers(-grid, 2 * grid)), grid)
+    beta = _led_series(data, cfg, v_beta, grid, data.draw(st.booleans()))
+    bound = (v_alpha - v_beta) / (q - 1)
+    v_num = v_alpha + Fraction(math.floor(bound * grid) + data.draw(st.integers(1, 2 * grid)), grid)
+    num = _led_series(data, cfg, v_num, grid, data.draw(st.booleans()))
+    want = v_num - v_alpha + Fraction(data.draw(st.integers(1, 6 * grid)), grid)
+    scale = cfg.p**cfg.perf_depth
+    w = num._div(alpha, int((want - v_num) * scale), twist=beta)
+    assert w.prec <= want
+    defect = alpha * w - beta * w.frobenius(1) - num
+    assert defect.is_zero() and defect.prec == w.prec + v_alpha
+    fixed = PerfSeries.zero(cfg)
+    while True:
+        nxt = (num + beta * fixed.frobenius(1)).div(alpha, prec=w.prec - v_num)
+        if nxt == fixed:
+            break
+        fixed = nxt
+    assert w == fixed
+
+
+def test_twisted_div_refuses_a_twist_that_does_not_contract():
+    # (q - 1) v(w) = 1 is not above v(alpha) - v(beta) = 1
+    alpha = PerfSeries(F2, [(0, F2.one()), (1, F2.one())])
+    with pytest.raises(ValidationError, match="does not contract"):
+        PerfSeries.x_pow(F2, 1)._div(alpha, 8 * 2**8, twist=PerfSeries.x_pow(F2, -1))
 
 
 F2_17 = FieldConfig(p=2, s=17)  # 2^17 elements: slot-packed coordinate arithmetic

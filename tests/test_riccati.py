@@ -486,8 +486,8 @@ def test_lift_divides_each_iterate_only_to_its_reach(cfg, branch, to_stop, monke
     # division, the public div's too, runs through the long-division core
     div, digits = PerfSeries._div, [0]
 
-    def counting_div(self, other, limit=None):
-        out = div(self, other, limit)
+    def counting_div(self, other, limit=None, twist=None):
+        out = div(self, other, limit, twist)
         digits[0] += len(out._terms)
         return out
 
@@ -527,35 +527,39 @@ def test_lift_forms_beta_wq_only_below_the_feed(case, uncut, monkeypatch):
 
 
 def test_lift_iterations_build_no_fraction(monkeypatch):
-    # the iterations run on the stored form: from a lift's first division to
-    # its last no Fraction is built.  The root's exponent, the trace and the
-    # errors are the edges, before the first division and after the last
+    # the lift runs on the stored form: a converged root's one twisted
+    # division builds no Fraction.  The root's exponent, the trace and the
+    # errors are the edges, before that division and after it
     lift, div, new = fqlin.solvers._solve_additive, PerfSeries._div, Fraction.__new__
-    built, marks, inside = [0], [], []
+    built, inside, calls = [0], [], []
 
     def counting_new(cls, *args, **kwargs):
         built[0] += 1
         return new(cls, *args, **kwargs)
 
-    def marking_div(self, other, limit=None):
-        marks.append(built[0])
-        return div(self, other, limit)
+    def marking_div(self, other, limit=None, twist=None):
+        if twist is None:
+            return div(self, other, limit)
+        before = built[0]
+        out = div(self, other, limit, twist)
+        inside.append(built[0] - before)
+        return out
 
-    def marked_lift(*args, **kwargs):
-        marks.clear()
+    def counted_lift(*args, **kwargs):
+        start = len(inside)
         out = lift(*args, **kwargs)
-        if len(marks) > 1:
-            inside.append(marks[-1] - marks[0])
+        calls.append(len(inside) - start)
         return out
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     monkeypatch.setattr(PerfSeries, "_div", marking_div)
-    monkeypatch.setattr(fqlin.solvers, "_solve_additive", marked_lift)
+    monkeypatch.setattr(fqlin.solvers, "_solve_additive", counted_lift)
     road = RiccatiProblem(_x(F2, "1/4"), {1: _x(F2, 1)}, {0: _x(F2, "1/2")})
     solve_riccati(road, 5, xprec=Fraction(40), trace=[])
     for cfg, branch, _ in DIVIDED_TO_STOP:
         solve_riccati(bench_shaped_problem(random.Random("bench shape 0"), cfg, branch), 5, xprec=Fraction(20), trace=[])
     assert len(inside) >= 10 and not any(inside), inside
+    assert max(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -725,9 +729,9 @@ def test_lift_reads_rhs_precision_as_the_cut():
 )
 def test_lift_forms_one_product_per_iteration(prob, xprec, monkeypatch):
     # the residue-root monomial's residual takes two products (alpha w and
-    # beta w^q), and every iteration one (beta w^q): alpha w and the residual
-    # are read off the division and the two beta w^q.  Every root tried here
-    # converges, so the step's trace lists them all
+    # beta w^q), and the iterations none: their residual valuations follow
+    # from the first, and w comes out of one twisted division.  Every root
+    # tried here converges, so the step's trace lists them all
     lift, mul = fqlin.solvers._solve_additive, PerfSeries.__mul__
     counted, calls = [], [None]
 
@@ -748,5 +752,4 @@ def test_lift_forms_one_product_per_iteration(prob, xprec, monkeypatch):
     solve_riccati(prob, 4, xprec=Fraction(xprec))
     assert len(counted) == 4 and sum(len(s["residuals"]) - 1 for _, t in counted for s in t) > 0
     for n_mul, step_trace in counted:
-        roots, iterations = len(step_trace), sum(len(s["residuals"]) - 1 for s in step_trace)
-        assert n_mul == 2 * roots + iterations
+        assert n_mul == 2 * len(step_trace)
