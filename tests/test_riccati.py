@@ -481,9 +481,9 @@ DIVIDED_IDS = ["F9-nonzero", "F4-q2-nonzero", "F3-zero"]
 
 @pytest.mark.parametrize("cfg, branch, to_stop", DIVIDED_TO_STOP, ids=DIVIDED_IDS)
 def test_lift_divides_each_iterate_only_to_its_reach(cfg, branch, to_stop, monkeypatch):
-    # an iterate is divided only as far as the output, the trace and the next
-    # numerator read it, which leaves at most 40% of those digits.  Every
-    # division, the public div's too, runs through the long-division core
+    # the lift divides once, only as far as the output reads w, which leaves
+    # at most 40% of those digits.  Every division, the public div's and the
+    # lift's twisted one too, runs through the long-division core
     div, digits = PerfSeries._div, [0]
 
     def counting_div(self, other, limit=None, twist=None):
