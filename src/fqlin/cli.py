@@ -305,6 +305,9 @@ def _resolve_field(args, doc):
             except ValueError:
                 raise ValidationError(f"--mod must be comma-separated integers, got {args.mod!r}")
         return FieldConfig(**{name: value for name, value in kwargs.items() if value is not None})
+    for name in ("v", "s", "mod"):
+        if getattr(args, name) is not None:
+            raise ValidationError(f"--{name} needs --p: without it the field is the input document's")
     if "field" in doc:
         field = decode_field(doc["field"])
         if args.perf_depth is not None:

@@ -66,7 +66,9 @@ w <- (rhs + beta w^q) / alpha are never formed.  Consecutive ones differ
 by res / alpha, so their residuals contract as v -> v(beta) +
 q (v - v(alpha)) below the precision a division to the working precision
 would carry; that recurrence, on ints exponent * p^perf_depth, gives the
-trace, the Hensel bound and stall checks, and the digits w keeps.
+trace and the digits w keeps.  A root is kept exactly when its first step
+gains, (q - 1)(v - v(alpha)) > v(alpha) - v(beta); every later step then
+gains more, so a kept root always reaches the working precision.
 
 ``residual`` back-substitutes a candidate into the one shape that the
 three families share, sum_k P_k o z^{o k} = 0 (implicit) or = d z, with
@@ -350,27 +352,15 @@ def _residue_root(fld, on_line, r0, a0, b0, q):
     return least_factor_degree(coeffs)
 
 
-def _hensel_bound(v_e, v_alpha, v_beta, q, stop):
-    """Iterations until the residual, of valuation v(alpha) + v(e), reaches
-    stop when the error contracts as v(e') = v(beta) - v(alpha) + q v(e);
-    0 when it does not contract, so no iteration converges."""
-    count = 0
-    while v_alpha + v_e < stop:
-        nxt = v_beta - v_alpha + q * v_e
-        if nxt <= v_e:
-            return 0
-        v_e, count = nxt, count + 1
-    return count
-
-
 def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
     """The small solution of alpha w - beta w^q = rhs with v(w) >= 0,
     Hensel-lifted to x-adic precision wprec; errors name the Riccati step l.
 
-    alpha must be exact.  Only the residue-root monomial's residual is
-    formed; the later residual valuations follow from it, and w is the root
-    plus one twisted division of that residual by alpha (see the module
-    docstring).  Every valuation and precision is an int in the stored form."""
+    alpha must be exact.  Each residue root is kept or dropped by one test:
+    whether its residual contracts.  Only that residual is formed; the later
+    valuations follow from it, and w is the root plus one twisted division
+    of that residual by alpha (see the module docstring).  Every valuation
+    and precision is an int in the stored form."""
     fld = alpha.field
     q, scale = fld.q, fld._scale
     stored = lambda s: INF if s._prec is None else s._prec  # a precision in the stored form
@@ -382,7 +372,6 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
     num, den = wprec.numerator * scale, wprec.denominator
     stop_n = max(num + v_alpha * den, q * num + v_beta * den)
     stop, w_floor, w_off = -(-stop_n // den), num // den, num % den
-    limit = stop - 2 * v_alpha + scale  # the precision of 1/alpha in a division to stop
     v_r = rhs._terms[0][0]
     chord = q * v_alpha - (q - 1) * v_r - v_beta  # v(alpha) against v_r + (v(beta) - v_r)/q
     if chord < 0:  # mu = numerator / divisor
@@ -390,8 +379,7 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
     else:
         candidates = [(v_r - v_beta, q, (0, 1, q) if chord == 0 else (0, q))]
     r0, a0, b0 = (s.leading()[1] for s in (rhs, alpha, beta))
-    needed_degree = None
-    bounds = []  # the Hensel bound of every root tried
+    needed_degree, stalled = None, 0  # stalled: the roots whose residual does not contract
     for mu_n, mu_d, on_line in candidates:
         mu, off = divmod(mu_n, mu_d)
         if mu < 0 or (off and mu_d < q):
@@ -404,47 +392,41 @@ def _solve_additive(alpha, beta, rhs, wprec, l, trace=None):
         bwq = beta * w.frobenius(1)
         res = rhs - (alpha * w - bwq)
         res_vals = [res._terms[0][0] if res._terms else stored(res)]
-        converged = res.is_zero() or res_vals[-1] >= stop
-        bounds.append(0 if converged else _hensel_bound(res_vals[0] - v_alpha, v_alpha, v_beta, q, stop))
-        # the iterates, each divided out to stop, would carry prec_w <= cap_w
-        # and their beta w^q prec_bwq <= cap_bwq
-        prec_bwq, cap_bwq = stored(bwq), stored(beta) + q * mu
-        cap_w = min(stored(rhs) - v_alpha, limit + v_alpha + mu)
-        for _ in range(bounds[-1]):
-            if converged:
-                break
+        if res._terms and res_vals[0] < stop:
+            # the error e = res / alpha becomes beta e^q / alpha: the map
+            # v(e) -> v(beta) - v(alpha) + q v(e) has slope q > 1, so once the
+            # first step gains, every later one gains more and v reaches stop
+            if (q - 1) * (res_vals[0] - v_alpha) <= v_alpha - v_beta:
+                stalled += 1
+                continue
             if stop_n % den:  # an off-grid limit fails here, as a division to stop would
                 _scaled(fld, Fraction(stop_n + (scale - 2 * v_alpha) * den, den * scale))
-            prec_w = min(cap_w, prec_bwq - v_alpha)
-            prec_bwq = min(cap_bwq, q * prec_w + v_beta)
-            cut = min(prec_w + v_alpha, prec_bwq)  # prec_w + v(alpha) <= prec rhs
+            # every iterate, divided out to stop, is known below cut - v(alpha):
+            # rhs, the root's beta w^q and 1/alpha (known to stop - 2 v(alpha) + 1,
+            # on a dividend of valuation v(alpha) + mu) bound it; as the root
+            # contracts, the iterate's own beta w^q is known past the cut
+            cut = min(stored(rhs), stored(bwq), stop + scale + mu)
             # w - w_old = res / alpha, so below the cut the next residual,
             # beta (w - w_old)^q, is at v(beta) + q diff, or is zero there
-            diff = res_vals[-1] - v_alpha
-            agree = diff >= -((v_beta - cut) // q)
-            v_now = cut if agree else v_beta + q * diff
-            if not agree and v_now <= res_vals[-1]:
-                break  # stalled: not the contracting branch
-            res_vals.append(v_now)
-            converged = agree or v_now >= stop
-        if converged:
-            if trace is not None:
-                residuals = [v if v == INF else Fraction(v, scale) for v in res_vals]
-                trace.append({"mu": Fraction(mu_n, mu_d * scale), "residuals": residuals})
-            # a residual that is zero only modulo its precision fixes fewer digits
-            fixed = res_vals[-1] - v_alpha
-            if w_off and fixed > w_floor:
-                _scaled(fld, wprec)  # raises: the digits run past an off-grid wprec
-            keep = min(w_floor, fixed)
-            if keep > res_vals[0] - v_alpha:  # the fixed point of delta = (res + beta delta^q) / alpha
-                return w + res._div(alpha, keep - res_vals[0], twist=beta)
-            return w._truncate(keep)
+            while res_vals[-1] < min(stop, cut):
+                res_vals.append(min(cut, v_beta + q * (res_vals[-1] - v_alpha)))
+        if trace is not None:
+            residuals = [v if v == INF else Fraction(v, scale) for v in res_vals]
+            trace.append({"mu": Fraction(mu_n, mu_d * scale), "residuals": residuals})
+        # a residual that is zero only modulo its precision fixes fewer digits
+        fixed = res_vals[-1] - v_alpha
+        if w_off and fixed > w_floor:
+            _scaled(fld, wprec)  # raises: the digits run past an off-grid wprec
+        keep = min(w_floor, fixed)
+        if keep > res_vals[0] - v_alpha:  # the fixed point of delta = (res + beta delta^q) / alpha
+            return w + res._div(alpha, keep - res_vals[0], twist=beta)
+        return w._truncate(keep)
     if needed_degree is not None:
         raise NeedsFieldExtension(
             needed_degree,
             f"Riccati step l = {l} (a_{l + 1}): residue equation has no root in the scalar field",
         )
-    within = f" within the Hensel bound ({', '.join(map(str, bounds))} iterations)" if bounds else ""
+    within = f" within the Hensel bound ({', '.join(['0'] * stalled)} iterations)" if stalled else ""
     raise NonConvergent(
         f"Riccati step l = {l} (a_{l + 1}): no contracting root with non-negative "
         f"valuation{within}; the equation falls outside the certified parameter range"

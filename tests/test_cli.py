@@ -253,6 +253,12 @@ def test_validation_exit_codes(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert "--xprec" in err and "perf_depth = 8" in err, err
+    # --v, --s and --mod shape the field of --p only; with a document's field
+    # they are refused, not dropped
+    for flag, value in (("--s", "2"), ("--mod", "1,1,1")):
+        capsys.readouterr()
+        assert main(["solve-riccati", "-i", lift, "--order", "2", flag, value]) == 2, flag
+        assert flag in capsys.readouterr().err
     # malformed documents: one error line on stderr, never exit 1 or 0
     huge = tmp_path / "huge.json"
     huge.write_text('{"field": {"p": ' + "1" * 5000 + "}}", encoding="utf-8")

@@ -35,7 +35,7 @@ from fqlin import FieldConfig
 from fqlin.errors import KernelError, PerfectionDepthExceeded
 import fqlin.solvers
 from fqlin.fields import INF, den_exp
-from fqlin.solvers import _hensel_bound, _residue_root
+from fqlin.solvers import _residue_root
 
 F9_OVER_F3 = FieldConfig(p=3, s=2)
 
@@ -257,20 +257,28 @@ def test_hensel_bound_counts_the_contraction():
 
 
 def test_hensel_iterations_stay_within_the_bound():
+    # every root's residual reaches the working precision within the Hensel
+    # bound of its first residual, on the F_2 problem and on the six bench
+    # shapes at seed 0 (order 5, xprec 20 and 40)
     lam = PerfSeries.x_pow(F2, Fraction(1, 4))
     r = {0: PerfSeries.x_pow(F2, Fraction(1, 2)), 1: PerfSeries.x_pow(F2, 1)}
-    xprec, trace = Fraction(12), []
-    c, _ = solve_riccati(RiccatiProblem(lam, r=r), 4, xprec=xprec, trace=trace)
-    q, wprec, v_alpha = F2.q, xprec + 4, Fraction(1, F2.q**2)
-    counts = []
-    for entry in trace:
-        v_beta = valuation(lam).value + q ** (entry["l"] + 1) * valuation(c).value
-        stop = max(wprec + v_alpha, q * wprec + v_beta)
-        for step in entry["steps"]:
-            vals = step["residuals"]
-            if vals[0] < stop:
-                counts.append((len(vals) - 1, _hensel_bound(vals[0] - v_alpha, v_alpha, v_beta, q, stop)))
-    assert counts and all(0 < done <= bound for done, bound in counts)
+    cases = [(RiccatiProblem(lam, r=r), 4, Fraction(12))]
+    for cfg, branch in BENCH_SHAPES:
+        prob = bench_shaped_problem(random.Random("bench shape 0"), cfg, branch)
+        cases += [(prob, 5, Fraction(xprec)) for xprec in (20, 40)]
+    for prob, order, xprec in cases:
+        trace = []
+        c, _ = solve_riccati(prob, order, xprec=xprec, trace=trace)
+        q, wprec, v_alpha = prob.field.q, xprec + 4, Fraction(1, prob.field.q**2)
+        counts = []
+        for entry in trace:
+            v_beta = valuation(prob.lam).value + q ** (entry["l"] + 1) * valuation(c).value
+            stop = max(wprec + v_alpha, q * wprec + v_beta)
+            for step in entry["steps"]:
+                vals = step["residuals"]
+                if vals[0] < stop:
+                    counts.append((len(vals) - 1, _hensel_bound(vals[0] - v_alpha, v_alpha, v_beta, q, stop)))
+        assert counts and all(0 < done <= bound for done, bound in counts), (prob, xprec)
 
 
 def test_hensel_iteration_count_small():
@@ -472,7 +480,7 @@ def test_solve_riccati_bench_shapes_pinned():
 
 
 # quotient digits of one order-5, xprec-20 solve of bench_shaped_problem at
-# seed 0, when the lift divided every iterate out to its working precision
+# seed 0 had every fixed-point iterate been divided out to the working precision
 DIVIDED_TO_STOP = [(F9_OVER_F3, "nonzero", 5681), (F4_OVER_F2, "nonzero", 3295), (F3, "zero", 2326)]
 
 
@@ -480,10 +488,10 @@ DIVIDED_IDS = ["F9-nonzero", "F4-q2-nonzero", "F3-zero"]
 
 
 @pytest.mark.parametrize("cfg, branch, to_stop", DIVIDED_TO_STOP, ids=DIVIDED_IDS)
-def test_lift_divides_each_iterate_only_to_its_reach(cfg, branch, to_stop, monkeypatch):
-    # the lift divides once, only as far as the output reads w, which leaves
-    # at most 40% of those digits.  Every division, the public div's and the
-    # lift's twisted one too, runs through the long-division core
+def test_lift_divides_once_only_to_the_digits_kept(cfg, branch, to_stop, monkeypatch):
+    # each step's one twisted division stops at the digits w keeps, which
+    # leaves at most 40% of those digits.  Every division, the public div's
+    # and the lift's twisted one too, runs through the long-division core
     div, digits = PerfSeries._div, [0]
 
     def counting_div(self, other, limit=None, twist=None):
@@ -496,40 +504,10 @@ def test_lift_divides_each_iterate_only_to_its_reach(cfg, branch, to_stop, monke
     assert 0 < digits[0] <= 0.4 * to_stop
 
 
-# term pairs len(a) * len(b) of the lift's products on the same solves, when
-# beta w^q was formed from the whole of each iterate
-UNCUT_PAIRS = [1994, 2042, 916]
-
-
-@pytest.mark.parametrize("case, uncut", zip(DIVIDED_TO_STOP, UNCUT_PAIRS), ids=DIVIDED_IDS)
-def test_lift_forms_beta_wq_only_below_the_feed(case, uncut, monkeypatch):
-    # every later division stops at or below full + v(alpha) <= q feed + v(beta),
-    # so beta w^q is formed from w cut at feed, which leaves at most 70% of the pairs
-    (cfg, branch, _), lift, mul = case, fqlin.solvers._solve_additive, PerfSeries.__mul__
-    pairs, active = [0], [False]
-
-    def counting_mul(a, b):
-        if active[0]:
-            pairs[0] += len(a._terms) * len(b._terms)
-        return mul(a, b)
-
-    def counting_lift(*args, **kwargs):
-        active[0] = True
-        try:
-            return lift(*args, **kwargs)
-        finally:
-            active[0] = False
-
-    monkeypatch.setattr(PerfSeries, "__mul__", counting_mul)
-    monkeypatch.setattr(fqlin.solvers, "_solve_additive", counting_lift)
-    solve_riccati(bench_shaped_problem(random.Random("bench shape 0"), cfg, branch), 5, xprec=Fraction(20))
-    assert 0 < pairs[0] <= 0.7 * uncut
-
-
 def test_lift_iterations_build_no_fraction(monkeypatch):
-    # the lift runs on the stored form: a converged root's one twisted
-    # division builds no Fraction.  The root's exponent, the trace and the
-    # errors are the edges, before that division and after it
+    # the lift runs on the stored form: the one twisted division that gives
+    # w past its residue root builds no Fraction.  The root's exponent, the
+    # trace and the errors are the edges, before that division and after it
     lift, div, new = fqlin.solvers._solve_additive, PerfSeries._div, Fraction.__new__
     built, inside, calls = [0], [], []
 
@@ -564,6 +542,19 @@ def test_lift_iterations_build_no_fraction(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the Hensel lift against a copy that forms every residual
+
+
+def _hensel_bound(v_e, v_alpha, v_beta, q, stop):
+    """Iterations until the residual, of valuation v(alpha) + v(e), reaches
+    stop when the error contracts as v(e') = v(beta) - v(alpha) + q v(e);
+    0 when it does not contract, so no iteration converges (test-local)."""
+    count = 0
+    while v_alpha + v_e < stop:
+        nxt = v_beta - v_alpha + q * v_e
+        if nxt <= v_e:
+            return 0
+        v_e, count = nxt, count + 1
+    return count
 
 
 def residual_forming_lift(alpha, beta, rhs, wprec, l, trace=None, cuts=None):
@@ -714,42 +705,51 @@ def test_lift_reads_rhs_precision_as_the_cut():
 
 
 @pytest.mark.parametrize(
-    "prob, xprec",
+    "prob, order, xprec",
     [
-        (RiccatiProblem(_x(F2, "1/4"), r={0: _x(F2, "1/2"), 1: _x(F2, 1)}), 12),
-        (RiccatiProblem(_x(F2, "1/4"), {1: _x(F2, 1)}, {0: _x(F2, "1/2")}), 20),
+        (RiccatiProblem(_x(F2, "1/4"), r={0: _x(F2, "1/2"), 1: _x(F2, 1)}), 4, 12),
+        (RiccatiProblem(_x(F2, "1/4"), {1: _x(F2, 1)}, {0: _x(F2, "1/2")}), 4, 20),
         (
             RiccatiProblem(
                 _x(F9_OVER_F3, "1/9", F9_OVER_F3.gen()), r={0: _x(F9_OVER_F3, "10/9")}, branch="nonzero"
             ),
+            4,
             10,
         ),
-    ],
-    ids=["F2-r0-r1", "F2-roadmap", "F9-nonzero"],
+    ]
+    + [(bench_shaped_problem(random.Random("bench shape 0"), cfg, branch), 5, 20) for cfg, branch, _ in DIVIDED_TO_STOP],
+    ids=["F2-r0-r1", "F2-roadmap", "F9-nonzero"] + [f"bench-{name}" for name in DIVIDED_IDS],
 )
-def test_lift_forms_one_product_per_iteration(prob, xprec, monkeypatch):
-    # the residue-root monomial's residual takes two products (alpha w and
-    # beta w^q), and the iterations none: their residual valuations follow
-    # from the first, and w comes out of one twisted division.  Every root
-    # tried here converges, so the step's trace lists them all
+def test_lift_forms_two_products_per_root(prob, order, xprec, monkeypatch):
+    # the residue-root monomial's residual takes two products, alpha w and
+    # beta w^q, each with that one-term monomial as a factor, so a root costs
+    # at most len(alpha) + len(beta) term pairs; the iterations take none:
+    # their residual valuations follow from the first, and w comes out of one
+    # twisted division.  Every root tried here converges, so the step's trace
+    # lists them all
     lift, mul = fqlin.solvers._solve_additive, PerfSeries.__mul__
-    counted, calls = [], [None]
+    counted, products = [], [None]
 
     def counting_mul(a, b):
-        if calls[0] is not None:
-            calls[0] += 1
+        if products[0] is not None:
+            monomials = [f.terms[0][0] for f in (a, b) if len(f._terms) == 1 and f._prec is None]
+            products[0].append((monomials, len(a._terms) * len(b._terms)))
         return mul(a, b)
 
-    def counting_lift(*args, trace=None, **kwargs):
-        calls[0], step_trace = 0, []
-        out = lift(*args, trace=step_trace, **kwargs)
-        counted.append((calls[0], step_trace))
-        calls[0] = None
+    def counting_lift(alpha, beta, *args, trace=None, **kwargs):
+        products[0], step_trace = [], []
+        out = lift(alpha, beta, *args, trace=step_trace, **kwargs)
+        counted.append((products[0], step_trace, len(alpha._terms) + len(beta._terms)))
+        products[0] = None
         return out
 
     monkeypatch.setattr(PerfSeries, "__mul__", counting_mul)
     monkeypatch.setattr(fqlin.solvers, "_solve_additive", counting_lift)
-    solve_riccati(prob, 4, xprec=Fraction(xprec))
-    assert len(counted) == 4 and sum(len(s["residuals"]) - 1 for _, t in counted for s in t) > 0
-    for n_mul, step_trace in counted:
-        assert n_mul == 2 * len(step_trace)
+    solve_riccati(prob, order, xprec=Fraction(xprec))
+    assert len(counted) == order and sum(len(s["residuals"]) - 1 for _, t, _ in counted for s in t) > 0
+    q = prob.field.q
+    for step_products, step_trace, per_root in counted:
+        roots = {s["mu"] for s in step_trace} | {q * s["mu"] for s in step_trace}
+        assert len(step_products) == 2 * len(step_trace)
+        assert all(roots.intersection(monomials) for monomials, _ in step_products)
+        assert sum(pairs for _, pairs in step_products) <= per_root * len(step_trace)
