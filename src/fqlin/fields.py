@@ -47,7 +47,6 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import product
-from typing import NamedTuple
 
 from .errors import (
     DivisionByZero,
@@ -297,10 +296,14 @@ class FieldConfig:
             return self.elem(-self.modulus[0])
         return FieldElem(self, self.p)
 
+    def _codes(self):
+        """Every element's code, ascending lexicographically in the coordinates."""
+        steps = (range(0, self.p ** (i + 1), self.p**i) for i in range(self.degree))
+        return map(sum, product(*steps))  # the constant coordinate slowest
+
     def elements(self):
-        """All field elements in ascending lexicographic coordinate order."""
-        for coords in product(range(self.p), repeat=self.degree):
-            yield self.elem(coords)
+        """All field elements, in the order of ``_codes()``."""
+        return (FieldElem(self, code) for code in self._codes())
 
     @cached_property
     def _ops(self):
@@ -532,10 +535,6 @@ class FieldElem:
         frob = self.field._ops.frob(e)
         return self if frob is None else FieldElem(self.field, frob(self.code))
 
-    def pow_q(self, e):
-        """y -> y^{q^e} with q = p^v."""
-        return self.pow_p(e * self.field.v)
-
     def is_zero(self):
         return not self.code
 
@@ -590,11 +589,6 @@ def _scaled(field, exp):
 
 # ---------------------------------------------------------------------------
 # perfected Laurent series
-
-
-class Valuation(NamedTuple):
-    value: object  # Fraction, or INF for an exact zero
-    exact: bool    # False means "at least this much" (zero modulo precision)
 
 
 class PerfSeries:
@@ -730,12 +724,6 @@ class PerfSeries:
 
     def __mul__(self, other):
         return twisted_sum(self.field, ((self, other, 0),))
-
-    def scale(self, elem):
-        fld = self.field
-        code, mul = fld.elem(elem).code, fld._ops.mul
-        terms = [(n, mul(c, code)) for n, c in self._terms] if code else []
-        return PerfSeries._make(fld, terms, self._prec)
 
     def shift_x(self, exp):
         """Multiply by the exact monomial x^exp."""
@@ -984,12 +972,4 @@ def twisted_sum(field, triples):
                 t = mul(ca, cb)
                 acc[n] = add(acc[n], t) if n in acc else t
     return PerfSeries._make(field, _nonzero_sorted(acc), prec)
-
-
-def valuation(a):
-    """Leading exponent; for a series with no known terms the result is the
-    precision bound and is flagged as a lower bound rather than exact."""
-    if a._terms:  # read the exponent alone: leading() would decode the coefficient
-        return Valuation(Fraction(a._terms[0][0], a.field._scale), True)
-    return Valuation(a.prec, False)
 

@@ -122,11 +122,7 @@ def ore_left_multiple(a, b, order=INF):
         raise ValidationError("an exact input needs an order cap (--order)")
     cap = int(cap)
     beta_inv = beta.inv()
-    target = CompSeries(
-        a.field,
-        {k + shift: c.frobenius(shift) for k, c in a.terms.items()},
-        a.order + shift,
-    )
+    target = tau_power(a, shift)
     quot = {}
     for k in range(k0, cap + 1):
         known = [(qi, b.terms[k + l - i], i) for i, qi in quot.items() if k + l - i in b.terms]

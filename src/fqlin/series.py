@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OutsideConvergenceDomain, ValidationError
-from .fields import INF, PerfSeries, twisted_sum, valuation
+from .fields import INF, PerfSeries, twisted_sum
 
 
 class CompSeries:
@@ -117,31 +117,6 @@ class CompSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    # -- scalar action --------------------------------------------------------
-
-    def scale_left(self, gamma):
-        """(gamma t) o self: every coefficient is multiplied by gamma."""
-        gamma = self._as_scalar(gamma)
-        return CompSeries(
-            self.field, {k: gamma * c for k, c in self.terms.items()}, self.order
-        )
-
-    def scale_right(self, gamma):
-        """self o (gamma t): coefficient k picks up gamma^{q^k}."""
-        gamma = self._as_scalar(gamma)
-        return CompSeries(
-            self.field,
-            {k: c * gamma.frobenius(k) for k, c in self.terms.items()},
-            self.order,
-        )
-
-    def _as_scalar(self, gamma):
-        if isinstance(gamma, PerfSeries):
-            if gamma.field != self.field:
-                raise ValidationError("scalar from a different field")
-            return gamma
-        return PerfSeries.constant(self.field, gamma)
-
     # -- composition ----------------------------------------------------------
 
     def compose(self, other, order=INF):
@@ -209,14 +184,14 @@ class CompSeries:
             cert = growth_certificate(self)
         if t0.is_exact_zero():
             return PerfSeries.zero(self.field)
-        vt0 = valuation(t0)
-        if vt0.value <= cert.kappa:
-            detail = "" if vt0.exact else " (valuation known only as a bound)"
+        vt0 = t0.valuation_lb()
+        if vt0 <= cert.kappa:
+            detail = " (valuation known only as a bound)" if t0.is_zero() else ""
             raise OutsideConvergenceDomain(
-                f"v(t0) = {vt0.value} is not above kappa = {cert.kappa}{detail}"
+                f"v(t0) = {vt0} is not above kappa = {cert.kappa}{detail}"
             )
         total = twisted_sum(self.field, [(c_k, t0, k) for k, c_k in self.terms.items()])
-        tail = Fraction(self.field.q) ** (self.order + 1) * (vt0.value - cert.kappa)
+        tail = Fraction(self.field.q) ** (self.order + 1) * (vt0 - cert.kappa)
         return total.truncate(min(total.prec, tail))
 
     # -- comparison -------------------------------------------------------------

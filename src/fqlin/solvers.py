@@ -84,7 +84,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import product
 
 from .carlitz import bracket, carlitz_d
 from .errors import (
@@ -102,7 +101,6 @@ from .fields import (
     _scaled,
     least_factor_degree,
     twisted_sum,
-    valuation,
 )
 from .ore import factor_unit
 from .series import CompSeries, GrowthCertificate, _PowerTable, growth_certificate
@@ -279,11 +277,10 @@ def normalize_time_change(prob):
 
 
 def untransform_ode_solution(zp, gamma):
-    """Undo the conjugation: c_i = gamma^{1 - q^i} c'_i."""
-    gamma_inv = gamma.inv()
-    terms = {}
-    for i, c in zp.terms.items():
-        terms[i] = c * gamma * gamma_inv.frobenius(i)
+    """Undo the conjugation: c_i = gamma^{1 - q^i} c'_i, which for
+    gamma = x^e shifts the exponents of c'_i by e - e q^i."""
+    e, q = gamma.valuation_lb(), Fraction(zp.field.q)
+    terms = {i: c.shift_x(e - e * q**i) for i, c in zp.terms.items()}
     return CompSeries(zp.field, terms, zp.order)
 
 
@@ -308,7 +305,7 @@ class RiccatiProblem:
         floor = Fraction(1, fld.q**2)
         if self.lam.is_zero():
             raise ValidationError("lambda must be nonzero")
-        if valuation(self.lam).value < floor:
+        if self.lam.valuation_lb() < floor:
             raise ValidationError(f"lambda needs valuation >= {floor}")
         for name, data, k_min in (("p", self.p, 1), ("r", self.r, 0)):
             clean = {}
@@ -337,13 +334,13 @@ def _residue_root(fld, on_line, r0, a0, b0, q):
     r0*[0] - a0*w*[1] + b0*w^q*[q] = 0 restricted to the on-line indices.
 
     Returns a field element, or the extension degree needed when the
-    equation has no root in the scalar field.  The candidates are codes, in
-    the order of ``FieldConfig.elements()``: the constant coordinate slowest."""
+    equation has no root in the scalar field.  The candidates are the codes
+    of ``FieldConfig._codes()``, in the order of ``elements()``."""
     zero = fld.zero()
     monomials = {i: c for i, c in ((0, r0), (1, -a0), (q, b0)) if i in on_line}
     c0, c1, cq = (monomials.get(i, zero).code for i in (0, 1, q))
     add, mul, frob = fld._ops.add, fld._ops.mul, fld._ops.frob(fld.v) or (lambda c: c)
-    for w in map(sum, product(*[range(0, fld.p ** (i + 1), fld.p**i) for i in range(fld.degree)])):
+    for w in fld._codes():
         if w and not add(add(c0, mul(c1, w)), mul(cq, frob(w))):
             return FieldElem(fld, w)
     coeffs = [monomials.get(i, zero) for i in range(q + 1)]

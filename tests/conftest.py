@@ -1,5 +1,6 @@
-"""Shared field configurations and hypothesis strategies."""
+"""Shared field configurations, hypothesis strategies and test oracles."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,24 @@ def assert_cs_close(a, b):
     d = a - b
     for k, c in d.terms.items():
         assert c.is_zero(), f"index {k} differs: {c!r}"
+
+
+def oracle_multinomial(field, coeffs, k, l):
+    """Sum over all compositions l = n_1 + ... + n_k with n_i >= 1 of
+    c_{n_1} c_{n_2}^{q^{n_1}} ... c_{n_k}^{q^{n_1+...+n_{k-1}}}, by
+    enumeration (independent of ``multinomial_coeff``)."""
+    zero = PerfSeries.zero(field)
+    total = zero
+    for parts in itertools.product(range(1, l - k + 2), repeat=k):
+        if sum(parts) != l:
+            continue
+        prod = PerfSeries.one(field)
+        shift = 0
+        for n in parts:
+            prod = prod * coeffs.get(n, zero).frobenius(shift)
+            shift += n
+        total = total + prod
+    return total
 
 
 def perf_series(cfg, max_terms=4, depth=2, exact=True, nonzero=False):

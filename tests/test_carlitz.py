@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqlin import INF, CompSeries, FieldConfig, PerfSeries, valuation
+from fqlin import INF, CompSeries, FieldConfig, PerfSeries
 from fqlin.carlitz import bracket, carlitz_d, carlitz_delta, tau_power
 from fqlin.errors import KernelError
 
@@ -27,7 +27,7 @@ def test_bracket_goldens():
     b1 = bracket(F2, 1)
     assert [(e, c.coords) for e, c in b1.terms] == [(1, (1,)), (2, (1,))]
     bm1 = bracket(F2, -1)
-    assert valuation(bm1).value == Fraction(1, 2)
+    assert bm1.valuation_lb() == Fraction(1, 2)
     b1_f3 = bracket(F3, 1)
     assert b1_f3.coeff(1) == F3.elem(-1) and b1_f3.coeff(3) == F3.one()
 
@@ -52,8 +52,8 @@ def test_bracket_root_identity(k, cfg):
 def test_bracket_valuations():
     for cfg in (F2, F3):
         for k in range(1, 4):
-            assert valuation(bracket(cfg, k)).value == 1
-        assert valuation(bracket(cfg, -1)).value == Fraction(1, cfg.q)
+            assert bracket(cfg, k).valuation_lb() == 1
+        assert bracket(cfg, -1).valuation_lb() == Fraction(1, cfg.q)
 
 
 BRACKET_FIELDS = [F2, F3, F4, F9, F4_OVER_F2, FieldConfig(p=2, perf_depth=3), FieldConfig(p=3, s=2, perf_depth=2)]
@@ -156,6 +156,9 @@ def test_derivative_linearity_and_scaling(data):
     w = data.draw(comp_series(cfg))
     gamma = data.draw(perf_series(cfg, max_terms=2, depth=0, nonzero=True))
     assert carlitz_d(u + w) == carlitz_d(u) + carlitz_d(w)
-    # right scaling commutes plainly, left scaling picks up a q-th root
-    assert carlitz_d(u.scale_right(gamma)) == carlitz_d(u).scale_right(gamma)
-    assert carlitz_d(u.scale_left(gamma)) == carlitz_d(u).scale_left(gamma.root_q())
+    # scaling is composition with gamma t: on the right it commutes plainly,
+    # on the left it picks up a q-th root
+    scalar = CompSeries.monomial(cfg, 0, gamma)
+    assert carlitz_d(u.compose(scalar)) == carlitz_d(u).compose(scalar)
+    root = CompSeries.monomial(cfg, 0, gamma.root_q())
+    assert carlitz_d(scalar.compose(u)) == root.compose(carlitz_d(u))

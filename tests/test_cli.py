@@ -106,6 +106,13 @@ def test_field_tower_flags():
     assert code == 0
     assert out["result"]["text"] == "1+g"
     assert out["manifest"]["field"] == {"p": 2, "v": 1, "s": 2, "modulus": [1, 1, 1]}
+    code, out = run_command(["add", "--p", "2", "--v", "2", "--mod", "1,1,1", "g*x", "x"])
+    assert code == 0
+    assert out["manifest"]["field"] == {"p": 2, "v": 2, "s": 1, "modulus": [1, 1, 1]}
+    # --perf-depth replaces the depth of a document's field
+    lift = str(Path(__file__).resolve().parents[1] / "fixtures" / "solve-riccati-lift" / "input.json")
+    code, out = run_command(["solve-riccati", "-i", lift, "--order", "2", "--perf-depth", "3"])
+    assert code == 0 and out["manifest"]["perf_depth"] == 3
 
 
 # -- solvers ---------------------------------------------------------------------
@@ -259,6 +266,22 @@ def test_validation_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["solve-riccati", "-i", lift, "--order", "2", flag, value]) == 2, flag
         assert flag in capsys.readouterr().err
+    # a malformed field, a missing input file and an incomplete residual-check
+    # document each name their cause
+    no_type = {"field": {"p": 2}, "problem": {"a": []}, "candidate": "t"}
+    no_problem = {"field": {"p": 2}, "type": "ode", "candidate": "t"}
+    bad_modulus = {"field": {"p": 2, "modulus": "abc"}, "a": "t", "b": "t"}
+    for argv, cause in (
+        (["add", "--p", "2", "--mod", "1,a,1", "t", "t"], "--mod must be comma-separated integers"),
+        (["add", "--p", "2", "--v", "2", "--mod", "1,0,1", "t", "t"], "is reducible over F_2"),
+        (["add", "-i", str(tmp_path / "missing.json")], "cannot read input document"),
+        (["add", "-i", write_doc(tmp_path, "mod.json", bad_modulus)], "modulus must be an array"),
+        (["residual-check", "-i", write_doc(tmp_path, "nt.json", no_type), "--order", "2"], '"type"'),
+        (["residual-check", "-i", write_doc(tmp_path, "np.json", no_problem), "--order", "2"], '"problem"'),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert cause in capsys.readouterr().err, argv
     # malformed documents: one error line on stderr, never exit 1 or 0
     huge = tmp_path / "huge.json"
     huge.write_text('{"field": {"p": ' + "1" * 5000 + "}}", encoding="utf-8")

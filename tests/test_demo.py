@@ -1,4 +1,5 @@
-"""The worked examples in ``scripts/solver_demo.py`` still run and verify.
+"""The public surface: every exported name resolves, and the worked
+examples in ``scripts/solver_demo.py`` still run and verify.
 
 The demo solves one problem with each solver and prints "residual zero"
 after recomputing each residual, so it doubles as an end-to-end check.
@@ -9,7 +10,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import fqlin
+import fqlin.solvers
+import fqlin.textio
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_exported_names_resolve():
+    # a name deleted from a module but left in its __all__ breaks only
+    # ``from ... import *``, which nothing else here runs
+    for module in (fqlin, fqlin.solvers, fqlin.textio):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], f"{module.__name__}.__all__ names missing {missing}"
 
 
 def test_solver_demo_runs_and_every_residual_vanishes():

@@ -24,7 +24,6 @@ from fqlin import (
     PerfectionDepthExceeded,
     PrecisionExhausted,
     ValidationError,
-    valuation,
 )
 from fqlin.fields import DEFAULT_XPREC, twisted_sum
 from fqlin.jsonio import decode_exp, encode_exp
@@ -156,7 +155,6 @@ def test_frobenius_is_additive_and_periodic(data):
     assert a.pow_p(1) == a ** cfg.p
     assert a.pow_p(cfg.degree) == a
     assert a.pow_p(1).pow_p(-1) == a
-    assert a.pow_q(1) == a.pow_p(cfg.v)
 
 
 def test_inverse_of_zero_raises():
@@ -171,7 +169,7 @@ def test_inverse_of_zero_raises():
 def test_elements_enumeration_and_subfield():
     assert [e.coords for e in F4.elements()] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     big = FieldConfig(p=2, v=1, s=2)
-    sub = [e for e in big.elements() if e.pow_q(1) == e]
+    sub = [e for e in big.elements() if e.pow_p(big.v) == e]
     assert len(sub) == 2  # F_2 inside F_4
     assert all(e * e == e for e in sub)
 
@@ -352,12 +350,12 @@ def test_frobenius_golden_bracket_root():
 
 
 def test_valuation_reporting():
+    # the leading exponent, or the precision bound when no term is known
     a = PerfSeries(F2, [(Fraction(-2), F2.one())], prec=1)
-    assert valuation(a) == (Fraction(-2), True)
+    assert a.valuation_lb() == Fraction(-2) and not a.is_zero()
     z = PerfSeries.zero(F2, prec=3)
-    assert valuation(z) == (3, False)
-    assert valuation(PerfSeries.zero(F2)).exact is False
-    assert valuation(PerfSeries.zero(F2)).value == INF
+    assert z.valuation_lb() == 3 and z.is_zero()
+    assert PerfSeries.zero(F2).valuation_lb() == INF and PerfSeries.zero(F2).is_zero()
 
 
 def test_truncate_and_coeff():
@@ -421,12 +419,12 @@ def test_series_valuation_laws(data):
     cfg = data.draw(st.sampled_from(SMALL_FIELDS))
     a = data.draw(perf_series(cfg, nonzero=True))
     b = data.draw(perf_series(cfg, nonzero=True))
-    va = valuation(a).value
-    vb = valuation(b).value
-    assert valuation(a * b).value == va + vb
+    va = a.valuation_lb()
+    vb = b.valuation_lb()
+    assert (a * b).valuation_lb() == va + vb
     s = a + b
     if not s.is_zero():
-        assert valuation(s).value >= min(va, vb)
+        assert s.valuation_lb() >= min(va, vb)
 
 
 @given(st.data())
@@ -434,7 +432,7 @@ def test_series_valuation_laws(data):
 def test_inverse_series_multiplies_back(data):
     cfg = data.draw(st.sampled_from([F2, F3, F4]))
     a = data.draw(perf_series(cfg, max_terms=3, depth=1, nonzero=True))
-    inv = a.inv(prec=Fraction(4) - valuation(a).value)
+    inv = a.inv(prec=Fraction(4) - a.valuation_lb())
     prod = a * inv
     one = PerfSeries.one(cfg)
     m = prod.prec
@@ -444,13 +442,17 @@ def test_inverse_series_multiplies_back(data):
 def test_scale_and_shift():
     g = F4.gen()
     a = PerfSeries(F4, [(Fraction(0), F4.one()), (Fraction(1), g)], prec=2)
-    s = a.scale(g)
-    assert s.coeff(0) == g and s.coeff(1) == g * g and s.prec == 2
-    z = a.scale(F4.zero())
-    assert z.is_zero() and z.prec == 2
     sh = a.shift_x(Fraction(1, 2))
     assert sh.coeff(Fraction(1, 2)) == F4.one()
     assert sh.prec == Fraction(5, 2)
+    # a shift off the exponent grid (F_2 at depth 8) raises unless nothing is shifted
+    off_grid = Fraction(1, 2**9)
+    assert F2.perf_depth == 8
+    with pytest.raises(PerfectionDepthExceeded, match="513/512 needs perfection depth 9"):
+        PerfSeries.x_pow(F2, 1).shift_x(off_grid)
+    with pytest.raises(PerfectionDepthExceeded, match="needs perfection depth 9"):
+        PerfSeries.zero(F2, prec=3).shift_x(off_grid)
+    assert PerfSeries.zero(F2).shift_x(off_grid).is_exact_zero()
 
 
 # -- depth cap of q-th roots --------------------------------------------------
@@ -572,7 +574,7 @@ def ref_inv(cfg, a, prec):
 def ref_frobenius(cfg, a, e):
     ta, pa = a
     qe = Fraction(cfg.q) ** e
-    return {x * qe: c.pow_q(e) for x, c in ta.items()}, None if pa is None else pa * qe
+    return {x * qe: c.pow_p(e * cfg.v) for x, c in ta.items()}, None if pa is None else pa * qe
 
 
 def ref_shift(a, s):

@@ -144,7 +144,7 @@ def _geometric_inverse(u, n_cap):
         if first is None or first > n_cap:
             break
         total = total + power
-    return total.scale_right(u0_inv).truncate(n_cap)
+    return total.compose(CompSeries.monomial(u.field, 0, u0_inv)).truncate(n_cap)
 
 
 @given(st.data())

@@ -9,7 +9,6 @@ c_1 = [1]^{-1} a_{00}^q.
 """
 
 import hashlib
-import itertools
 import random
 from fractions import Fraction
 
@@ -39,23 +38,7 @@ from fqlin import (
     untransform_ode_solution,
 )
 
-from conftest import F2, F3, F4, assert_cs_close, elems, perf_series
-
-
-def oracle_multinomial(field, coeffs, k, l):
-    """Enumeration of compositions l = n_1 + ... + n_k (test-local)."""
-    zero = PerfSeries.zero(field)
-    total = zero
-    for parts in itertools.product(range(1, l - k + 2), repeat=k):
-        if sum(parts) != l:
-            continue
-        prod = PerfSeries.one(field)
-        shift = 0
-        for n in parts:
-            prod = prod * coeffs.get(n, zero).frobenius(shift)
-            shift += n
-        total = total + prod
-    return total
+from conftest import F2, F3, F4, assert_cs_close, elems, oracle_multinomial, perf_series
 
 
 def oracle_implicit(field, q0, qk, order):
@@ -365,6 +348,7 @@ def per_k_residual(prob, z, order):
     and nothing cut before the end (test-local)."""
     from fqlin import carlitz_d, tau_power
 
+    fld = prob.field
     if isinstance(prob, ImplicitProblem):
         total = prob.P[0]
         for k, p_k in enumerate(prob.P[1:], start=1):
@@ -372,13 +356,14 @@ def per_k_residual(prob, z, order):
         return total.truncate(order)
     if isinstance(prob, RiccatiProblem):
         # d y - lambda (y o y) - sum_k p_k tau^k(y) - R
-        rhs = z.self_power(2).scale_left(prob.lam) + CompSeries(prob.field, prob.r)
+        # a scalar factor gamma is composition with gamma t on the left
+        rhs = CompSeries.monomial(fld, 0, prob.lam).compose(z.self_power(2)) + CompSeries(fld, prob.r)
         for k, p_k in prob.p.items():
-            rhs = rhs + tau_power(z.self_power(1), k).scale_left(p_k)
+            rhs = rhs + CompSeries.monomial(fld, 0, p_k).compose(tau_power(z.self_power(1), k))
         return (carlitz_d(z) - rhs).truncate(order)
-    rhs = CompSeries.zero(prob.field)
+    rhs = CompSeries.zero(fld)
     for (j, k), a_jk in prob.a.items():
-        rhs = rhs + tau_power(z.self_power(k), j).scale_left(a_jk)
+        rhs = rhs + CompSeries.monomial(fld, 0, a_jk).compose(tau_power(z.self_power(k), j))
     return (carlitz_d(z) - rhs).truncate(order)
 
 
