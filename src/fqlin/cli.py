@@ -154,7 +154,7 @@ def _solve_ode(call):
     prob = decode_ode(call.field, call.doc)
     call.inputs["problem"] = encode_problem(prob)
     norm, gamma = normalize_time_change(prob)
-    zp, cert = solve_ode(norm, _required_order(call.args), xprec=call.xprec)
+    zp, _ = solve_ode(norm, _required_order(call.args), xprec=call.xprec)
     z = zp if norm is prob else untransform_ode_solution(zp, gamma)
     result = {
         "z": encode_comp(z),
@@ -254,7 +254,7 @@ def non_negative_int(text):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common, branch, check, io = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     common.add_argument("--p", type=int, help=f"characteristic of the base field; p^(v*s) <= 2^{MAX_FIELD_BITS}")
     common.add_argument("--v", type=int, help="q = p^v")
     common.add_argument("--s", type=int, help="scalars live in F_{q^s}")
@@ -264,15 +264,16 @@ def build_parser():
         "--order", type=non_negative_int, default=INF, help=f"truncation order N with q^N <= 2^{MAX_TWIST_BITS}"
     )
     common.add_argument("--xprec", help="x-adic precision num/den_exp = num / p^den_exp, den_exp <= perf_depth")
-    common.add_argument("--branch", choices=["zero", "nonzero"], help="Riccati constant-term branch")
-    common.add_argument("--check", action="store_true", help="back-substitute and fail on nonzero residual")
-    common.add_argument("-i", "--input", metavar="FILE", help="JSON input document")
-    common.add_argument("-o", "--output", metavar="FILE", help="write the output document here")
+    branch.add_argument("--branch", choices=["zero", "nonzero"], help="Riccati constant-term branch")
+    check.add_argument("--check", action="store_true", help="back-substitute and fail on nonzero residual")
+    io.add_argument("-i", "--input", metavar="FILE", help="JSON input document")
+    io.add_argument("-o", "--output", metavar="FILE", help="write the output document here")
 
     parser = argparse.ArgumentParser(prog="fqlin", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMAND_TABLE.items():
-        sub = subs.add_parser(name, parents=[common], help=command.help)
+        flags = [branch, check] if name == "solve-riccati" else [check] if name.startswith("solve-") else []
+        sub = subs.add_parser(name, parents=[common, *flags, io], help=command.help)
         for pos, _ in command.inputs:
             limit = f"each index k of t^[q^k] and order M - 1 of O(t^[q^M]) needs q^|k| <= 2^{MAX_TWIST_BITS}"
             sub.add_argument(pos, nargs="?", help=f"series expression (or supply it in the input document); {limit}")

@@ -139,5 +139,5 @@ def fraction_normalize(f, order=INF, xprec=INF):
     """Normal form of denom^{-1} o numer: a root twist and a single series."""
     fact = factor_unit(f.denom)
     inv = invert_unit(fact.unit, order=order)
-    series = inv.compose(f.numer).truncate(order).truncate_x(xprec)
+    series = inv.compose(f.numer, order).truncate_x(xprec)
     return FractionNormalForm(shift=fact.shift, series=series)

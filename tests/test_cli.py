@@ -11,7 +11,7 @@ import pytest
 
 from fqlin import FieldConfig, parse_comp_series
 from fqlin.cli import main, run_command
-from fqlin.jsonio import decode_exp
+from fqlin.jsonio import canonical_dumps, decode_exp
 
 from conftest import F2, assert_cs_close
 
@@ -101,7 +101,7 @@ def test_tau_delta_d_goldens():
     assert code == 0 and out["result"]["text"] == "(x^{1/2} + x)*t"
 
 
-def test_field_tower_flags():
+def test_field_tower_flags(tmp_path):
     code, out = run_command(["add", "--p", "2", "--s", "2", "g", "1"])
     assert code == 0
     assert out["result"]["text"] == "1+g"
@@ -109,6 +109,10 @@ def test_field_tower_flags():
     code, out = run_command(["add", "--p", "2", "--v", "2", "--mod", "1,1,1", "g*x", "x"])
     assert code == 0
     assert out["manifest"]["field"] == {"p": 2, "v": 2, "s": 1, "modulus": [1, 1, 1]}
+    doc = {"field": {"p": 2, "s": 2, "modulus": [1, 1, 1]}, "a": "g*x", "b": "x"}
+    code, out = run_command(["add", "-i", write_doc(tmp_path, "mod.json", doc)])
+    assert code == 0 and out["result"]["text"] == "(1+g)*x"
+    assert out["manifest"]["field"] == {"p": 2, "v": 1, "s": 2, "modulus": [1, 1, 1]}
     # --perf-depth replaces the depth of a document's field
     lift = str(Path(__file__).resolve().parents[1] / "fixtures" / "solve-riccati-lift" / "input.json")
     code, out = run_command(["solve-riccati", "-i", lift, "--order", "2", "--perf-depth", "3"])
@@ -151,6 +155,14 @@ def test_solve_riccati_golden(tmp_path):
     assert out["result"]["c_text"] == "1 + x^{1/4}"
     assert all(item["terms"] == [] for item in out["result"]["a"])
     assert out["result"]["text"] == "(1 + x^{1/4})*t^[q^-1] + O(t^[q^4])"
+    # a stored zero coefficient of P is no coefficient: the same bytes as "p": []
+    outputs = []
+    for name, p in (("p0.json", [{"k": 1, "coef": "0"}]), ("pe.json", [])):
+        path = write_doc(tmp_path, name, {"field": {"p": 2}, "lam": "x^{1/4}", "p": p})
+        code, out = run_command(["solve-riccati", "-i", path, "--order", "3", "--xprec", "8", "--check"])
+        assert code == 0
+        outputs.append(canonical_dumps(out))
+    assert outputs[0] == outputs[1]
 
 
 def test_solve_riccati_branch_flag(tmp_path):
@@ -163,8 +175,12 @@ def test_solve_riccati_branch_flag(tmp_path):
     assert out["result"]["a"][0]["terms"] != []
 
 
-def test_eval_and_certify():
+def test_eval_and_certify(tmp_path):
     code, out = run_command(["eval", "--p", "2", "t^[q^1]", "x"])
+    assert code == 0 and out["result"]["text"] == "x^2"
+    t0 = {"prec": None, "terms": [{"e": {"num": 1, "den_exp": 0}, "c": [1]}]}
+    path = write_doc(tmp_path, "ev.json", {"field": {"p": 2}, "u": "t^[q^1]", "t0": t0})
+    code, out = run_command(["eval", "-i", path])
     assert code == 0 and out["result"]["text"] == "x^2"
     code, out = run_command(["certify", "--p", "2", "x^-2*t^[q^1] + x^-4*t^[q^2] + O(t^[q^3])"])
     assert code == 0
@@ -266,11 +282,14 @@ def test_validation_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["solve-riccati", "-i", lift, "--order", "2", flag, value]) == 2, flag
         assert flag in capsys.readouterr().err
-    # a malformed field, a missing input file and an incomplete residual-check
-    # document each name their cause
+    # a malformed field, a missing input file, an incomplete residual-check
+    # document, an out-of-range series or power and a flag the command does
+    # not read each name their cause
     no_type = {"field": {"p": 2}, "problem": {"a": []}, "candidate": "t"}
     no_problem = {"field": {"p": 2}, "type": "ode", "candidate": "t"}
     bad_modulus = {"field": {"p": 2, "modulus": "abc"}, "a": "t", "b": "t"}
+    two_coords = {"prec": None, "terms": [{"e": {"num": 1, "den_exp": 0}, "c": [1, 0]}]}
+    wide = {"field": {"p": 2}, "u": {"N": None, "terms": [{"k": 0, "coef": two_coords}]}}
     for argv, cause in (
         (["add", "--p", "2", "--mod", "1,a,1", "t", "t"], "--mod must be comma-separated integers"),
         (["add", "--p", "2", "--v", "2", "--mod", "1,0,1", "t", "t"], "is reducible over F_2"),
@@ -278,6 +297,17 @@ def test_validation_exit_codes(tmp_path, capsys):
         (["add", "-i", write_doc(tmp_path, "mod.json", bad_modulus)], "modulus must be an array"),
         (["residual-check", "-i", write_doc(tmp_path, "nt.json", no_type), "--order", "2"], '"type"'),
         (["residual-check", "-i", write_doc(tmp_path, "np.json", no_problem), "--order", "2"], '"problem"'),
+        (["add", "--p", "1", "x", "x"], "p = 1 is not prime"),
+        (["add", "--p", "0", "x", "x"], "p = 0 is not prime"),
+        (["certify", "-i", write_doc(tmp_path, "wide.json", wide)], "expected 1 coordinates, got 2"),
+        (["factor", "--p", "2", "x*t^[q^-1]"], "has a negative leading index -1"),
+        (["invert", "--p", "2", "x*t^[q^-1] + t", "--order", "2"], "has a negative leading index -1"),
+        (["ore", "--p", "2", "x*t^[q^-1]", "t", "--order", "2"], "has a negative leading index -1"),
+        (["power", "--p", "2", "t", "--k", "-1"], "compositional power must be non-negative"),
+        # --check and --branch belong to the commands that read them
+        (["compose", "--p", "2", "t", "t", "--check"], "unrecognized arguments: --check"),
+        (["invert", "--p", "2", "t + x*t^[q^1]", "--order", "3", "--check", "--branch", "nonzero"],
+         "unrecognized arguments: --check --branch nonzero"),
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv
