@@ -85,10 +85,6 @@ class NeedsFieldExtension(KernelError):
 
     exit_code = 5
 
-    def __init__(self, required_degree, message=None):
+    def __init__(self, required_degree, message):
         self.required_degree = required_degree
-        super().__init__(
-            message
-            or "residue equation has no root in the configured field; "
-            f"an extension of relative degree {required_degree} is required"
-        )
+        super().__init__(message)

@@ -643,16 +643,16 @@ class PerfSeries:
         return cls(field, (), prec)
 
     @classmethod
-    def constant(cls, field, value, prec=INF):
-        return cls(field, [(Fraction(0), field.elem(value))], prec)
+    def constant(cls, field, value):
+        return cls(field, [(Fraction(0), field.elem(value))])
 
     @classmethod
     def one(cls, field):
         return cls.constant(field, 1)
 
     @classmethod
-    def x_pow(cls, field, exp, coeff=1, prec=INF):
-        return cls(field, [(Fraction(exp), field.elem(coeff))], prec)
+    def x_pow(cls, field, exp, coeff=1):
+        return cls(field, [(Fraction(exp), field.elem(coeff))])
 
     # -- structure ------------------------------------------------------------
 

@@ -233,14 +233,14 @@ def digest(obj):
     return hashlib.sha256(canonical_dumps(obj).encode("ascii")).hexdigest()
 
 
-def build_manifest(command, field, order=INF, xprec=INF, inputs=None, extra=None):
+def build_manifest(command, field, order, xprec, inputs, extra):
     doc = {
         "command": command,
         "field": encode_field(field),
         "order": None if order == INF else order,
         "xprec": None if xprec == INF else encode_exp(xprec, field.p),
         "perf_depth": field.perf_depth,
-        "inputs": {name: digest(value) for name, value in (inputs or {}).items()},
+        "inputs": {name: digest(value) for name, value in inputs.items()},
     }
     if extra:
         doc.update(extra)

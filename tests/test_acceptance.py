@@ -232,9 +232,10 @@ def test_criterion_5_implicit_solver():
     golden_prob = ImplicitProblem(
         P=(CompSeries.monomial(F2, 1), CompSeries.identity(F2), CompSeries.identity(F2))
     )
-    z, _ = solve_implicit(golden_prob, 4)
-    values = [z.coeff(i).coeff(Fraction(0)) for i in range(1, 5)]
-    assert values == [F2.one(), F2.one(), F2.elem(0), F2.one()]
+    z, _ = solve_implicit(golden_prob, 8)
+    assert coeffs_all_zero(residual(golden_prob, z, 8))
+    values = [z.coeff(i).coeff(Fraction(0)) for i in range(1, 9)]
+    assert values == [F2.elem(c) for c in (1, 1, 0, 1, 0, 0, 0, 1)]
 
     shifted = 0
     for cfg in CONFIGS:
@@ -250,7 +251,7 @@ def test_criterion_5_implicit_solver():
     report(
         5,
         solved >= 100,
-        f"implicit residual zero mod N=16 on {solved} problems; golden (1,1,0,1); {shifted} nu-shifted starts",
+        f"implicit residual zero mod N=16 on {solved} problems; golden (1,1,0,1,0,0,0,1); {shifted} nu-shifted starts",
     )
 
 
@@ -283,20 +284,21 @@ def test_criterion_6_ode_solver():
     c1 = golden.coeff(1)
     assert all(c1.coeff(Fraction(n)) == F2.one() for n in range(1, 16))
 
-    round_trips = 0
+    # d z = x^-1 t + z o z needs the time change gamma = x^2
+    pole_prob = OdeProblem(field=F2, a={(0, 0): PerfSeries.x_pow(F2, -1), (0, 2): PerfSeries.one(F2)})
+    round_trips = [(pole_prob, 4, Fraction(16))]
     for cfg in CONFIGS:
         rng = random.Random(6500 + cfg.q)
-        for _ in range(7):
-            prob = ode_case(rng, cfg, allow_poles=True)
-            norm, gamma = normalize_time_change(prob)
-            zp, _ = solve_ode(norm, 8, xprec=Fraction(40))
-            z = zp if norm is prob else untransform_ode_solution(zp, gamma)
-            assert coeffs_all_zero(residual(prob, z, 8))
-            round_trips += 1
+        round_trips += [(ode_case(rng, cfg, allow_poles=True), 8, Fraction(40)) for _ in range(7)]
+    for prob, n, xprec in round_trips:
+        norm, gamma = normalize_time_change(prob)
+        zp, _ = solve_ode(norm, n, xprec=xprec)
+        z = zp if norm is prob else untransform_ode_solution(zp, gamma)
+        assert coeffs_all_zero(residual(prob, z, n))
     report(
         6,
         solved >= 100,
-        f"ODE residual zero mod N=16 on {solved} problems; c1 = [1]^-1 a00^q; golden digits; {round_trips} time-change round trips",
+        f"ODE residual zero mod N=16 on {solved} problems; c1 = [1]^-1 a00^q; golden digits; {len(round_trips)} time-change round trips",
     )
 
 
@@ -371,6 +373,12 @@ def test_criterion_8_riccati():
     assert all(item.is_zero() for item in a)
     y = riccati_series(c, a, F2)
     assert coeffs_all_zero(residual(golden_prob, y, 3))
+    # d y = lam (y o y) + x tau y + x^{1/2}: nonzero a_1, a_3 and a_5
+    full_prob = RiccatiProblem(
+        lam=golden_prob.lam, p={1: PerfSeries.x_pow(F2, 1)}, r={0: PerfSeries.x_pow(F2, Fraction(1, 2))}
+    )
+    c, a = solve_riccati(full_prob, 5, xprec=Fraction(10))
+    assert coeffs_all_zero(residual(full_prob, riccati_series(c, a, F2), 5))
 
     order = 12
     xprec = Fraction(10)

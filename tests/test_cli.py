@@ -43,10 +43,16 @@ def test_compose_golden():
     assert out["result"]["text"] == "x^2*t^[q^1] + t^[q^2]"
 
 
-def test_add_characteristic_two():
+def test_add_characteristic_two(tmp_path):
     code, out = run_command(["add", "--p", "2", "t", "t"])
     assert code == 0
     assert out["result"]["text"] == "0"
+    # a JSON composition-series operand: the "N" key selects the decoder
+    x_t1 = {"prec": None, "terms": [{"e": {"num": 1, "den_exp": 0}, "c": [1]}]}
+    doc = {"field": {"p": 2}, "a": {"N": None, "terms": [{"k": 1, "coef": x_t1}]}, "b": "t"}
+    code, out = run_command(["add", "-i", write_doc(tmp_path, "comp.json", doc)])
+    assert code == 0
+    assert out["result"]["text"] == "t + x*t^[q^1]"
 
 
 def test_add_rejects_mixed_kinds():
