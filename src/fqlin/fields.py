@@ -756,10 +756,12 @@ class PerfSeries:
         """``div`` to a requested precision limit in the stored form (None
         for none).  Long division emits one digit per leading term of the
         remainder, so the cost is |quotient| * |other|: linear in the output
-        for a binomial divisor.  A ``twist`` beta makes it the w with other * w
-        = self + beta w^q: each digit d x^n adds beta d^q x^{qn} to the
-        remainder, past n when its first digit n_1 has (q - 1) n_1 > v(other)
-        - v(beta), and w is known below prec(beta) + q n_1 - v(other)."""
+        for a binomial divisor.  Each digit d x^n makes one remainder update,
+        fed by the divisor's tail times -d x^n and, with a ``twist`` beta, by
+        beta d^q x^{qn}.  The twist makes it the w with other * w = self +
+        beta w^q: its terms land past n when the first digit n_1 has
+        (q - 1) n_1 > v(other) - v(beta), and w is known below prec(beta) +
+        q n_1 - v(other)."""
         fld = other.field
         if not other._terms:
             if other._prec is None:
@@ -788,19 +790,19 @@ class PerfSeries:
         qprec = limit + a[0][0]
         if pa is not None and pa - w < qprec:
             qprec = pa - w
-        bt = ()
+        q, bt, frob = fld.q, (), None
         if twist is not None:
             self._check(twist)
-            q, n1, bt = fld.q, a[0][0] - w, twist._terms
+            n1, bt = a[0][0] - w, twist._terms
             if bt and (q - 1) * n1 <= w - bt[0][0]:
                 raise ValidationError("the twist does not contract: beta w^q would reach the current digit")
             if twist._prec is not None and twist._prec + q * n1 - w < qprec:
                 qprec = twist._prec + q * n1 - w
-            frob = ops.frob(fld.v) or (lambda c: c)
+            frob = ops.frob(fld.v)
         stop = qprec + w  # a remainder term from stop on gives no digit
         add, mul = ops.add, ops.mul
         c0_inv = ops.inv(c0)
-        tail = [(n - w, ops.neg(mul(c, c0_inv))) for n, c in other._terms[1:]]
+        tail = [(n, ops.neg(c)) for n, c in other._terms[1:]]
         rem = {n: c for n, c in a if n < stop}
         heap = list(rem)  # ascending, so already a heap
         digits = []
@@ -810,26 +812,17 @@ class PerfSeries:
             if not c:
                 continue
             d = mul(c, c0_inv)
-            digits.append((n - w, d))
-            for m, t in tail:
-                key = n + m
-                if key >= stop:
-                    break  # tail ascends: the rest lands past the precision
-                if key in rem:
-                    rem[key] = add(rem[key], mul(c, t))
-                else:
-                    rem[key] = mul(c, t)
-                    heappush(heap, key)
-            if bt:  # the digit's beta d^q x^{qn}, past n when contracting
-                dq, base = frob(d), q * (n - w)
-                for m, b in bt:
+            e = n - w
+            digits.append((e, d))
+            for base, x, terms in ((e, d, tail), (q * e, frob(d) if frob else d, bt)):
+                for m, t in terms:
                     key = base + m
                     if key >= stop:
-                        break
+                        break  # terms ascend: the rest lands past the precision
                     if key in rem:
-                        rem[key] = add(rem[key], mul(dq, b))
+                        rem[key] = add(rem[key], mul(x, t))
                     else:
-                        rem[key] = mul(dq, b)
+                        rem[key] = mul(x, t)
                         heappush(heap, key)
         return PerfSeries._make(fld, digits, qprec)
 

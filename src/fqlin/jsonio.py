@@ -110,10 +110,10 @@ def encode_comp(u):
 
 def decode_comp(field, doc):
     _require(isinstance(doc, dict), "composition series must be an object")
-    terms = {}
+    terms = []  # CompSeries sums a repeated index
     for item in _array(doc.get("terms", []), "composition terms"):
         _require(isinstance(item, dict), "composition term must be an object")
-        terms[_index(field, item.get("k"), "k")] = decode_perf(field, item.get("coef"))
+        terms.append((_index(field, item.get("k"), "k"), decode_perf(field, item.get("coef"))))
     order = doc.get("N")
     return CompSeries(field, terms, INF if order is None else _index(field, order, "N"))
 
@@ -180,7 +180,8 @@ def decode_ode(field, doc):
     for item in entries:
         _require(isinstance(item, dict), "right-side entry must be an object")
         key = (_int(item.get("j"), "j"), _int(item.get("k"), "k"))
-        a[key] = perf_value(field, item.get("coef"))
+        coef = perf_value(field, item.get("coef"))
+        a[key] = a[key] + coef if key in a else coef
     return OdeProblem(field=field, a=a)
 
 
@@ -194,7 +195,8 @@ def decode_riccati(field, doc):
         items = doc.get(name)
         for item in [] if items is None else _array(items, name):
             _require(isinstance(item, dict), f"{name} entry must be an object")
-            out[_int(item.get("k"), "k")] = perf_value(field, item.get("coef"))
+            k, coef = _int(item.get("k"), "k"), perf_value(field, item.get("coef"))
+            out[k] = out[k] + coef if k in out else coef
         return out
 
     return RiccatiProblem(

@@ -339,12 +339,8 @@ class _Parser:
 
     def comp_sum(self):
         items, bounds = self.signed_sum(self.cterm, lambda: self.tmono("M - 1", 1))
-        terms = {}
-        for neg, item in items:
-            if item is not None:
-                k, coef = item
-                coef = -coef if neg else coef
-                terms[k] = terms[k] + coef if k in terms else coef
+        # CompSeries sums a repeated index
+        terms = [(item[0], -item[1] if neg else item[1]) for neg, item in items if item is not None]
         return CompSeries(self.field, terms, min(bounds, default=INF))
 
     def finish(self):

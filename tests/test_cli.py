@@ -26,6 +26,21 @@ def deep_copy(doc):
     return json.loads(json.dumps(doc))
 
 
+def outputs(tmp_path, argv, docs):
+    """The output bytes of one command line on each input document."""
+    outs = []
+    for i, doc in enumerate(docs):
+        code, out = run_command(argv + ["-i", write_doc(tmp_path, f"in{i}.json", doc)])
+        assert code == 0
+        outs.append(canonical_dumps(out))
+    return outs
+
+
+def scalar_doc(*exps):
+    """An exact F_2 series document with coefficient 1 at each integer exponent."""
+    return {"prec": None, "terms": [{"e": {"num": e, "den_exp": 0}, "c": [1]} for e in exps]}
+
+
 # -- arithmetic subcommands ------------------------------------------------------
 
 
@@ -53,6 +68,12 @@ def test_add_characteristic_two(tmp_path):
     code, out = run_command(["add", "-i", write_doc(tmp_path, "comp.json", doc)])
     assert code == 0
     assert out["result"]["text"] == "t + x*t^[q^1]"
+    # a repeated index sums, as in the text grammar: x*t + x^2*t is (x + x^2)*t
+    repeated = [{"k": 0, "coef": scalar_doc(1)}, {"k": 0, "coef": scalar_doc(2)}]
+    summed = [{"k": 0, "coef": scalar_doc(1, 2)}]
+    docs = [{"field": {"p": 2}, "a": {"N": None, "terms": terms}, "b": "x^3*t"} for terms in (repeated, summed)]
+    out_repeated, out_summed = outputs(tmp_path, ["add"], docs)
+    assert out_repeated == out_summed and "(x + x^2 + x^3)*t" in out_summed
 
 
 def test_add_rejects_mixed_kinds():
@@ -144,6 +165,12 @@ def test_solve_ode_golden(tmp_path):
     assert code == 0
     assert out["result"]["text"].startswith("(x + x^2 + x^3 + x^4 + x^5 + O(x^6))*t^[q^1]")
     assert out["result"]["gamma"]["terms"] == [{"e": {"num": 0, "den_exp": 0}, "c": [1]}]
+    # a repeated (j, k) sums: a_00 = x + x^3
+    repeated = [{"j": 0, "k": 0, "coef": "x"}, {"j": 0, "k": 0, "coef": "x^3"}]
+    summed = [{"j": 0, "k": 0, "coef": "x + x^3"}]
+    argv = ["solve-ode", "--order", "2", "--xprec", "6", "--check"]
+    out_repeated, out_summed = outputs(tmp_path, argv, [{"field": {"p": 2}, "a": a} for a in (repeated, summed)])
+    assert out_repeated == out_summed
 
 
 def test_solve_ode_time_change(tmp_path):
@@ -161,14 +188,19 @@ def test_solve_riccati_golden(tmp_path):
     assert out["result"]["c_text"] == "1 + x^{1/4}"
     assert all(item["terms"] == [] for item in out["result"]["a"])
     assert out["result"]["text"] == "(1 + x^{1/4})*t^[q^-1] + O(t^[q^4])"
+    argv = ["solve-riccati", "--order", "3", "--xprec", "8", "--check"]
+    base = {"field": {"p": 2}, "lam": "x^{1/4}"}
     # a stored zero coefficient of P is no coefficient: the same bytes as "p": []
-    outputs = []
-    for name, p in (("p0.json", [{"k": 1, "coef": "0"}]), ("pe.json", [])):
-        path = write_doc(tmp_path, name, {"field": {"p": 2}, "lam": "x^{1/4}", "p": p})
-        code, out = run_command(["solve-riccati", "-i", path, "--order", "3", "--xprec", "8", "--check"])
-        assert code == 0
-        outputs.append(canonical_dumps(out))
-    assert outputs[0] == outputs[1]
+    zero, empty = outputs(tmp_path, argv, [{**base, "p": [{"k": 1, "coef": "0"}]}, {**base, "p": []}])
+    assert zero == empty
+    # a repeated index of P or R sums
+    repeated = {
+        "p": [{"k": 1, "coef": "x"}, {"k": 1, "coef": "x^2"}],
+        "r": [{"k": 0, "coef": "x"}, {"k": 0, "coef": "x^3"}],
+    }
+    summed = {"p": [{"k": 1, "coef": "x + x^2"}], "r": [{"k": 0, "coef": "x + x^3"}]}
+    out_repeated, out_summed = outputs(tmp_path, argv, [{**base, **repeated}, {**base, **summed}])
+    assert out_repeated == out_summed
 
 
 def test_solve_riccati_branch_flag(tmp_path):

@@ -687,8 +687,9 @@ def test_twisted_div_is_the_fixed_point(data):
     q, grid = cfg.q, cfg.p ** min(2, cfg.perf_depth)
     nz = elems(cfg, nonzero=True)
     v_alpha = Fraction(data.draw(st.integers(-grid, 2 * grid)), grid)
-    top = v_alpha + Fraction(data.draw(st.integers(1, 4 * grid)), grid)
-    alpha = PerfSeries(cfg, [(v_alpha, data.draw(nz)), (top, data.draw(nz))])
+    # 2-4 terms, so that tail and twist updates interleave in the remainder
+    tops = data.draw(st.lists(st.integers(1, 4 * grid), min_size=1, max_size=3, unique=True))
+    alpha = PerfSeries(cfg, [(v_alpha + Fraction(k, grid), data.draw(nz)) for k in [0] + tops])
     v_beta = Fraction(data.draw(st.integers(-grid, 2 * grid)), grid)
     beta = _led_series(data, cfg, v_beta, grid, data.draw(st.booleans()))
     bound = (v_alpha - v_beta) / (q - 1)
