@@ -14,7 +14,6 @@ leaves the configured scalar field.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import NamedTuple
@@ -61,19 +60,14 @@ PERF = (lambda field, raw: perf_value(field, raw), lambda value: encode_perf(val
 SERIES = (lambda field, raw: series_value(field, raw), lambda value: encode_series(value))
 
 
-@dataclasses.dataclass
 class Call:
     """One invocation as a run function sees it.  ``inputs`` and ``extra``
     collect the manifest's input digests and recorded arguments; ``code`` is
     the exit code of a document that is written anyway."""
 
-    args: argparse.Namespace
-    doc: dict
-    field: FieldConfig
-    xprec: object
-    inputs: dict = dataclasses.field(default_factory=dict)
-    extra: dict = dataclasses.field(default_factory=dict)
-    code: int = 0
+    def __init__(self, args, doc, field, xprec):
+        self.args, self.doc, self.field, self.xprec = args, doc, field, xprec
+        self.inputs, self.extra, self.code = {}, {}, 0
 
 
 class Command(NamedTuple):
@@ -312,7 +306,7 @@ def _resolve_field(args, doc):
     if "field" in doc:
         field = decode_field(doc["field"])
         if args.perf_depth is not None:
-            field = dataclasses.replace(field, perf_depth=args.perf_depth)
+            field = FieldConfig(field.p, field.v, field.s, field.modulus, args.perf_depth)
         return field
     raise ValidationError("no field configured: pass --p or an input document with a field entry")
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
@@ -187,7 +186,6 @@ def _first_irreducible(p, degree):
 # field configuration and residue-field elements
 
 
-@dataclass(frozen=True)
 class FieldConfig:
     """Parameters of the scalar tower F_p < F_q < F_{q^s}, q = p^v.
 
@@ -202,40 +200,45 @@ class FieldConfig:
     (MAX_TWIST_BITS).
     """
 
-    p: int
-    v: int = 1
-    s: int = 1
-    modulus: tuple = None
-    perf_depth: int = None
-
-    def __post_init__(self):
-        if self.v < 1 or self.s < 1:
+    def __init__(self, p, v=1, s=1, modulus=None, perf_depth=None):
+        if v < 1 or s < 1:
             raise ValidationError("v and s must be positive")
-        degree = self.v * self.s
-        if degree > MAX_FIELD_BITS or self.p**degree > 2**MAX_FIELD_BITS:
+        degree = v * s
+        if degree > MAX_FIELD_BITS or p**degree > 2**MAX_FIELD_BITS:
             raise ValidationError(
-                f"the field of order p^(v*s) = {self.p}^{degree} has more than 2^{MAX_FIELD_BITS} elements"
+                f"the field of order p^(v*s) = {p}^{degree} has more than 2^{MAX_FIELD_BITS} elements"
             )
-        if not _is_prime(self.p):
-            raise ValidationError(f"p = {self.p} is not prime")
-        if self.perf_depth is None:
-            object.__setattr__(self, "perf_depth", 8 * self.v)
-        if not 0 <= self.perf_depth <= MAX_PERF_DEPTH:
-            raise ValidationError(f"perf_depth must be in 0..{MAX_PERF_DEPTH}, got {self.perf_depth}")
-        if self.modulus is None:
-            object.__setattr__(self, "modulus", _first_irreducible(self.p, degree))
+        if not _is_prime(p):
+            raise ValidationError(f"p = {p} is not prime")
+        if perf_depth is None:
+            perf_depth = 8 * v
+        if not 0 <= perf_depth <= MAX_PERF_DEPTH:
+            raise ValidationError(f"perf_depth must be in 0..{MAX_PERF_DEPTH}, got {perf_depth}")
+        if modulus is None:
+            modulus = _first_irreducible(p, degree)
         else:
-            mod = tuple(int(c) % self.p for c in self.modulus)
-            object.__setattr__(self, "modulus", mod)
-            if len(mod) != degree + 1 or mod[-1] != 1:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != degree + 1 or modulus[-1] != 1:
                 raise ValidationError(
-                    f"modulus must be monic of degree {degree} (got {mod})"
+                    f"modulus must be monic of degree {degree} (got {modulus})"
                 )
-            if degree > 1 and not _is_irreducible(mod, FieldConfig(self.p)):
-                raise ValidationError(f"modulus {mod} is reducible over F_{self.p}")
-        # the exponent scale p^perf_depth, kept on the instance so that no
-        # series operation hashes the dataclass
-        object.__setattr__(self, "_scale", self.p**self.perf_depth)
+            if degree > 1 and not _is_irreducible(modulus, FieldConfig(p)):
+                raise ValidationError(f"modulus {modulus} is reducible over F_{p}")
+        self._key = (p, v, s, modulus, perf_depth)
+        self.p, self.v, self.s, self.modulus, self.perf_depth = self._key
+        # the exponent scale p^perf_depth, kept on the instance so that series
+        # operations read one attribute instead of forming the power
+        self._scale = p**perf_depth
+
+    # equal, and hashed, by value over (p, v, s, modulus, perf_depth)
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return "FieldConfig(p=%r, v=%r, s=%r, modulus=%r, perf_depth=%r)" % self._key
 
     @property
     def q(self):

@@ -22,7 +22,7 @@ from .errors import ValidationError
 from .fields import INF, MAX_PERF_DEPTH, FieldConfig, PerfSeries, den_exp
 from .series import CompSeries
 from .solvers import ImplicitProblem, OdeProblem, RiccatiProblem
-from .textio import parse_comp_series, parse_perf_series, parse_series
+from .textio import decimal_exp, parse_comp_series, parse_perf_series, parse_series
 
 
 def _require(cond, message):
@@ -47,7 +47,7 @@ def _array(value, what):
 
 
 def encode_exp(e, p):
-    e = Fraction(e)
+    e = decimal_exp(e)
     exp = den_exp(e, p)
     _require(exp is not None, f"exponent denominator {e.denominator} is not a power of {p}")
     return {"num": e.numerator, "den_exp": exp}

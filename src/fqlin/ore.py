@@ -26,7 +26,7 @@ series, obtained from the unit part of the denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     NotAUnit,
@@ -40,32 +40,27 @@ from .fields import INF, twisted_sum
 from .series import CompSeries
 
 
-@dataclass(frozen=True)
-class UnitFactorization:
-    shift: int
-    unit: CompSeries
+UnitFactorization = namedtuple("UnitFactorization", "shift unit")
 
 
-@dataclass(frozen=True)
 class OreFraction:
     """Left fraction denom^{-1} o numer."""
 
-    denom: CompSeries
-    numer: CompSeries
-
-    def __post_init__(self):
-        if self.denom.field != self.numer.field:
+    def __init__(self, denom, numer):
+        if denom.field != numer.field:
             raise ValidationError("fraction parts over different fields")
-        if self.denom.is_exact_zero():
+        if denom.is_exact_zero():
             raise ZeroDenominator("fraction with zero denominator")
+        self.denom, self.numer = denom, numer
+
+    def __repr__(self):
+        return f"OreFraction(denom={self.denom!r}, numer={self.numer!r})"
 
 
-@dataclass(frozen=True)
-class FractionNormalForm:
+class FractionNormalForm(namedtuple("FractionNormalForm", "shift series")):
     """The fraction equals the q^shift-th root twist applied to ``series``."""
 
-    shift: int
-    series: CompSeries
+    __slots__ = ()
 
     def meromorphic(self):
         """t^{q^{-shift}} o series as one twisted Laurent series; applies

@@ -30,7 +30,7 @@ leaves a tail of valuation at least q^{N+1} * (v(t0) - kappa).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import OutsideConvergenceDomain, ValidationError
@@ -214,12 +214,9 @@ class CompSeries:
 # growth certificates
 
 
-@dataclass(frozen=True)
-class GrowthCertificate:
-    """kappa bounds coefficient decay: v(c_k) >= -kappa q^k for k <= order."""
-
-    kappa: Fraction
-    order: object  # int, or INF when every coefficient is accounted for
+# kappa bounds coefficient decay: v(c_k) >= -kappa q^k for k <= order, an int,
+# or INF when every coefficient is accounted for
+GrowthCertificate = namedtuple("GrowthCertificate", "kappa order")
 
 
 def growth_certificate(u):

@@ -82,7 +82,6 @@ cuts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .carlitz import bracket, carlitz_d
@@ -150,20 +149,16 @@ def _recursion(fld, terms, indices, shift, step, a0=None):
 # implicit equations
 
 
-@dataclass(frozen=True)
 class ImplicitProblem:
     """P_0 + P_1 o z + P_2 o (z o z) + ... = 0 with a t^{q^nu}-shifted
     invertible linear part."""
 
-    P: tuple
-    nu: int = 0
-
-    def __post_init__(self):
-        P = tuple(self.P)
-        object.__setattr__(self, "P", P)
+    def __init__(self, P, nu=0):
+        self.P = P = tuple(P)
+        self.nu = nu
         if len(P) < 2:
             raise ValidationError("an implicit problem needs at least P_0 and P_1")
-        if self.nu < 0:
+        if nu < 0:
             raise ValidationError("nu must be non-negative")
         fld = P[1].field
         for i, part in enumerate(P):
@@ -175,11 +170,11 @@ class ImplicitProblem:
             fact = factor_unit(P[1])
         except ZeroInput:
             raise NotSolvable("the linear part P_1 is zero") from None
-        if fact.shift != self.nu:
+        if fact.shift != nu:
             raise NotSolvable(
-                f"P_1 starts at index {fact.shift}, expected nu = {self.nu}"
+                f"P_1 starts at index {fact.shift}, expected nu = {nu}"
             )
-        if self.nu == 0 and not P[0].coeff(0).is_zero():
+        if nu == 0 and not P[0].coeff(0).is_zero():
             raise NotSolvable("P_0 has a nonzero coefficient at index 0")
 
     @property
@@ -213,25 +208,21 @@ def solve_implicit(prob, order, xprec=INF):
 # additive ODEs
 
 
-@dataclass(frozen=True)
 class OdeProblem:
     """d z = sum a_{jk} tau^j (z^{o k}) + sum a_{j0} t^{q^j}, keyed (j, k)."""
 
-    field: object
-    a: dict
-
-    def __post_init__(self):
-        clean = {}
-        for (j, k), coef in dict(self.a).items():
+    def __init__(self, field, a):
+        self.field = field
+        self.a = clean = {}
+        for (j, k), coef in dict(a).items():
             j, k = int(j), int(k)
             if j < 0 or k < 0:
                 raise ValidationError("coefficient indices (j, k) must be >= 0")
-            self.field.check_twist(j, "j")
-            self.field.check_twist(k, "k")
-            _coerce_coeff(self.field, coef, f"a[{j},{k}]")
+            field.check_twist(j, "j")
+            field.check_twist(k, "k")
+            _coerce_coeff(field, coef, f"a[{j},{k}]")
             if not coef.is_exact_zero():
                 clean[(j, k)] = coef
-        object.__setattr__(self, "a", clean)
 
 
 def solve_ode(prob, order, xprec=INF):
@@ -288,26 +279,21 @@ def untransform_ode_solution(zp, gamma):
 # Riccati-type equations
 
 
-@dataclass(frozen=True)
 class RiccatiProblem:
     """d y = lambda (y o y) + P(tau) y + R, solved through the fractional
     leading term y = c t^{1/q} + sum a_n t^{q^n}."""
 
-    lam: PerfSeries
-    p: dict = dc_field(default_factory=dict)
-    r: dict = dc_field(default_factory=dict)
-    branch: str = "zero"
-
-    def __post_init__(self):
-        if not isinstance(self.lam, PerfSeries):
+    def __init__(self, lam, p=(), r=(), branch="zero"):
+        self.lam, self.branch = lam, branch
+        if not isinstance(lam, PerfSeries):
             raise ValidationError("lambda must be a scalar series")
-        fld = self.lam.field
+        fld = lam.field
         floor = Fraction(1, fld.q**2)
-        if self.lam.is_zero():
+        if lam.is_zero():
             raise ValidationError("lambda must be nonzero")
-        if self.lam.valuation_lb() < floor:
+        if lam.valuation_lb() < floor:
             raise ValidationError(f"lambda needs valuation >= {floor}")
-        for name, data, k_min in (("p", self.p, 1), ("r", self.r, 0)):
+        for name, data, k_min in (("p", p, 1), ("r", r, 0)):
             clean = {}
             for k, coef in dict(data).items():
                 k = int(k)
@@ -320,8 +306,8 @@ class RiccatiProblem:
                 if Fraction(coef.valuation_lb()) < floor:
                     raise ValidationError(f"{name}_{k} needs valuation >= {floor}")
                 clean[k] = coef
-            object.__setattr__(self, name, clean)
-        if self.branch not in ("zero", "nonzero"):
+            setattr(self, name, clean)
+        if branch not in ("zero", "nonzero"):
             raise ValidationError("branch must be 'zero' or 'nonzero'")
 
     @property

@@ -40,6 +40,7 @@ a ParseError at its position.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
@@ -60,10 +61,24 @@ __all__ = [
 # emitters
 
 
+def decimal_exp(e):
+    """The exponent e as a Fraction whose numerator str() can write.  Past
+    the interpreter's int-to-str limit (``sys.get_int_max_str_digits()``,
+    4300 digits by default) it is a ValidationError.  Both emitters read
+    every exponent through here (the JSON one in ``jsonio.encode_exp``); the
+    other integers they write are indices, orders and coordinates, which
+    ``check_twist`` and the field size keep small."""
+    if not isinstance(e, Fraction):  # series exponents already are: no copy
+        e = Fraction(e)
+    limit = sys.get_int_max_str_digits()
+    # a numerator of at most 3 * limit bits is below 8^limit < 10^limit
+    if limit and e.numerator.bit_length() > 3 * limit and abs(e.numerator) >= 10**limit:
+        raise ValidationError(f"an output exponent has more than the int-to-str limit of {limit} digits")
+    return e
+
+
 def _emit_exp(e):
-    e = Fraction(e)
-    if e == 1:
-        return "x"
+    e = decimal_exp(e)
     if e.denominator == 1:
         return f"x^{e.numerator}"
     return f"x^{{{e.numerator}/{e.denominator}}}"
@@ -86,7 +101,7 @@ def _emit_scalar_term(e, c):
     elem_str = _emit_elem(c)
     if e == 0:
         return elem_str
-    xpart = _emit_exp(e)
+    xpart = "x" if e == 1 else _emit_exp(e)
     if c == c.field.one():
         return xpart
     if "+" in elem_str:
@@ -98,11 +113,7 @@ def emit_perf_series(a):
     """Canonical text for a scalar series."""
     parts = [_emit_scalar_term(e, c) for e, c in a.terms]
     if a.prec != INF:
-        prec = Fraction(a.prec)
-        if prec.denominator == 1:
-            parts.append(f"O(x^{prec.numerator})")
-        else:
-            parts.append(f"O(x^{{{prec.numerator}/{prec.denominator}}})")
+        parts.append(f"O({_emit_exp(a.prec)})")
     if not parts:
         return "0"
     return " + ".join(parts)

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from fqlin import FieldConfig, parse_comp_series
+from fqlin import FieldConfig, PerfSeries, ValidationError, emit_series, parse_comp_series
 from fqlin.cli import main, run_command
-from fqlin.jsonio import canonical_dumps, decode_exp
+from fqlin.jsonio import canonical_dumps, decode_exp, encode_perf
 
 from conftest import F2, assert_cs_close
 
@@ -466,6 +466,22 @@ def test_order_and_ode_index_exit_2_in_bounded_time(tmp_path, monkeypatch, argv,
     if doc is not None:
         argv = argv + ["-i", write_doc(tmp_path, "doc.json", doc)]
     assert_exits_2_within_5s(argv)
+
+
+def test_output_exponent_past_the_int_to_str_limit_exits_2(capsys):
+    # the literal has 4,201 digits, below int()'s 4,300-digit limit; tau
+    # multiplies it by 2^1024, and the result is refused before it is written
+    big = "1" + "0" * 4200
+    assert main(["tau", "--p", "2", "--j", "1024", f"x^{big}*t"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ValidationError: an output exponent has more than the int-to-str limit of 4300 digits\n"
+    # both emitters read the exponent through the same check
+    huge = PerfSeries.x_pow(F2, int(big) * 2**1024)
+    for emit in (emit_series, encode_perf):
+        with pytest.raises(ValidationError, match="int-to-str limit"):
+            emit(huge)
+    assert emit_series(PerfSeries.x_pow(F2, int(big))).startswith("x^1000")
 
 
 def test_order_at_the_bound_is_accepted():
