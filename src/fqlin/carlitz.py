@@ -54,6 +54,5 @@ def carlitz_delta(u):
 
 
 def carlitz_d(u):
-    """q-th root of the difference operator; drops the order by one."""
-    terms = {k - 1: (bracket(u.field, k) * c).root_q() for k, c in u.terms.items() if k != 0}
-    return CompSeries(u.field, terms, max(u.order - 1, -1))
+    """tau^{-1} o delta, the q-th root of the difference operator; drops the order by one."""
+    return tau_power(carlitz_delta(u), -1)

@@ -16,7 +16,7 @@ leaves the configured scalar field.
 import argparse
 import json
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .carlitz import bracket, carlitz_d, carlitz_delta, tau_power
 from .errors import KernelError, ResidualCheckFailed, ValidationError
@@ -70,11 +70,10 @@ class Call:
         self.inputs, self.extra, self.code = {}, {}, 0
 
 
-class Command(NamedTuple):
-    help: str
-    run: object  # run(call, *decoded positional inputs) -> result document, or a series
-    inputs: tuple = ()  # (name, (decoder, encoder)) per positional input
-    options: tuple = ()  # required integer options, recorded in the manifest
+# One subcommand: its --help line; run(call, *decoded positional inputs) -> result document, or a series;
+# (name, (decoder, encoder)) per positional input; (name, help note) per required integer option, recorded
+# in the manifest; and the names of the shared flags it reads, as build_parser's ``flags`` keys them.
+Command = namedtuple("Command", "help run inputs options reads", defaults=((), (), ()))
 
 
 def _power(call, z):
@@ -135,7 +134,7 @@ def _checked(call, prob, candidate, result):
 def _solve_implicit(call):
     prob = decode_implicit(call.field, call.doc)
     call.inputs["problem"] = encode_problem(prob)
-    z, cert = solve_implicit(prob, _required_order(call.args), xprec=call.xprec)
+    z, cert = solve_implicit(prob, call.args.order, xprec=call.xprec)
     result = {
         "z": encode_comp(z),
         "text": emit_series(z),
@@ -148,7 +147,7 @@ def _solve_ode(call):
     prob = decode_ode(call.field, call.doc)
     call.inputs["problem"] = encode_problem(prob)
     norm, gamma = normalize_time_change(prob)
-    zp, _ = solve_ode(norm, _required_order(call.args), xprec=call.xprec)
+    zp, _ = solve_ode(norm, call.args.order, xprec=call.xprec)
     z = zp if norm is prob else untransform_ode_solution(zp, gamma)
     result = {
         "z": encode_comp(z),
@@ -164,7 +163,7 @@ def _solve_riccati(call):
     prob = decode_riccati(call.field, doc)
     call.inputs["problem"] = encode_problem(prob)
     call.extra["branch"] = prob.branch
-    c, a = solve_riccati(prob, _required_order(call.args), xprec=call.xprec)
+    c, a = solve_riccati(prob, call.args.order, xprec=call.xprec)
     y = riccati_series(c, a, call.field)
     result = {
         "c": encode_perf(c),
@@ -189,7 +188,7 @@ def _residual_check(call):
     call.inputs["problem"] = encode_problem(prob)
     call.inputs["candidate"] = encode_comp(candidate)
     call.extra["type"] = kind
-    res = residual(prob, candidate, _required_order(call.args))
+    res = residual(prob, candidate, call.args.order)
     zero = _first_nonzero_index(res) == INF
     if not zero:
         call.code = ResidualCheckFailed.exit_code
@@ -198,33 +197,43 @@ def _residual_check(call):
 
 U = (("u", COMP),)
 AB = (("a", COMP), ("b", COMP))
+SOLVE = ("required-order", "xprec", "check")
 
 # Every subcommand, in --help order.
 COMMAND_TABLE = {
     "add": Command("sum of two series", _add, (("a", SERIES), ("b", SERIES))),
     "compose": Command("functional composition a o b", lambda call, a, b: a.compose(b), AB),
-    "power": Command("k-th compositional self-power", _power, (("z", COMP),), ("k",)),
+    "power": Command(
+        "k-th compositional self-power",
+        _power,
+        (("z", COMP),),
+        (("k", "; the same bound holds for k times the largest |index| of z"),),
+    ),
     "invert": Command(
         "compositional inverse of a unit",
         lambda call, u: invert_unit(u, order=call.args.order, xprec=call.xprec),
         U,
+        reads=("order", "xprec"),
     ),
     "factor": Command("split off the t^[q^m] monomial factor of a series", _factor, (("c", COMP),)),
-    "ore": Command("left Ore cofactors a', b' with a' o b = b' o a", _ore, AB),
+    "ore": Command("left Ore cofactors a', b' with a' o b = b' o a", _ore, AB, reads=("order",)),
     "fraction-normalize": Command(
         "root twist plus single series form of a left fraction",
         _fraction_normalize,
         (("denom", COMP), ("numer", COMP)),
+        reads=("order", "xprec"),
     ),
-    "tau": Command("apply the Frobenius twist j times", lambda call, u: tau_power(u, call.args.j), U, ("j",)),
+    "tau": Command("apply the Frobenius twist j times", lambda call, u: tau_power(u, call.args.j), U, (("j", ""),)),
     "delta": Command("the difference operator u(x t) - x u(t)", lambda call, u: carlitz_delta(u), U),
     "d": Command("the Carlitz derivative", lambda call, u: carlitz_d(u), U),
-    "bracket": Command("the element x^{q^k} - x", lambda call: bracket(call.field, call.args.k), (), ("k",)),
+    "bracket": Command("the element x^{q^k} - x", lambda call: bracket(call.field, call.args.k), (), (("k", ""),)),
     "solve-implicit": Command(
-        "solve an implicit composition equation from the input document", _solve_implicit
+        "solve an implicit composition equation from the input document", _solve_implicit, reads=SOLVE
     ),
-    "solve-ode": Command("solve d z = sum a_jk tau^j z^{o k} from the input document", _solve_ode),
-    "solve-riccati": Command("solve d y = lam (y o y) + P(y) + R from the input document", _solve_riccati),
+    "solve-ode": Command("solve d z = sum a_jk tau^j z^{o k} from the input document", _solve_ode, reads=SOLVE),
+    "solve-riccati": Command(
+        "solve d y = lam (y o y) + P(y) + R from the input document", _solve_riccati, reads=SOLVE + ("branch",)
+    ),
     "eval": Command(
         "evaluate a composition series at a scalar point",
         lambda call, u, t0: u.eval_at(t0),
@@ -235,7 +244,7 @@ COMMAND_TABLE = {
         lambda call, u: encode_certificate(growth_certificate(u), call.field.p),
         U,
     ),
-    "residual-check": Command("back-substitute a candidate into a problem", _residual_check),
+    "residual-check": Command("back-substitute a candidate into a problem", _residual_check, reads=("required-order",)),
 }
 
 
@@ -248,33 +257,34 @@ def non_negative_int(text):
 
 
 def build_parser():
-    common, branch, check, io = (argparse.ArgumentParser(add_help=False) for _ in range(4))
-    common.add_argument("--p", type=int, help=f"characteristic of the base field; p^(v*s) <= 2^{MAX_FIELD_BITS}")
-    common.add_argument("--v", type=int, help="q = p^v")
-    common.add_argument("--s", type=int, help="scalars live in F_{q^s}")
-    common.add_argument("--mod", help="modulus coefficients over F_p, ascending, comma-separated")
-    common.add_argument("--perf-depth", type=int, help=f"cap exponent denominators at p^E, E <= {MAX_PERF_DEPTH}")
-    common.add_argument(
-        "--order", type=non_negative_int, default=INF, help=f"truncation order N with q^N <= 2^{MAX_TWIST_BITS}"
-    )
-    common.add_argument("--xprec", help="x-adic precision num/den_exp = num / p^den_exp, den_exp <= perf_depth")
-    branch.add_argument("--branch", choices=["zero", "nonzero"], help="Riccati constant-term branch")
-    check.add_argument("--check", action="store_true", help="back-substitute and fail on nonzero residual")
+    field, io = argparse.ArgumentParser(add_help=False), argparse.ArgumentParser(add_help=False)
+    field.add_argument("--p", type=int, help=f"characteristic of the base field; p^(v*s) <= 2^{MAX_FIELD_BITS}")
+    field.add_argument("--v", type=int, help="q = p^v")
+    field.add_argument("--s", type=int, help="scalars live in F_{q^s}")
+    field.add_argument("--mod", help="modulus coefficients over F_p, ascending, comma-separated")
+    field.add_argument("--perf-depth", type=int, help=f"cap exponent denominators at p^E, E <= {MAX_PERF_DEPTH}")
+    names = ("order", "required-order", "xprec", "branch", "check")  # the shared flags, in --help order
+    flags = {name: argparse.ArgumentParser(add_help=False) for name in names}
+    order = f"truncation order N with q^N <= 2^{MAX_TWIST_BITS}"
+    flags["order"].add_argument("--order", type=non_negative_int, default=INF, help=order)
+    flags["required-order"].add_argument("--order", type=non_negative_int, required=True, help=order)
+    flags["xprec"].add_argument("--xprec", help="x-adic precision num/den_exp = num / p^den_exp, den_exp <= perf_depth")
+    flags["branch"].add_argument("--branch", choices=["zero", "nonzero"], help="Riccati constant-term branch")
+    flags["check"].add_argument("--check", action="store_true", help="back-substitute and fail on nonzero residual")
     io.add_argument("-i", "--input", metavar="FILE", help="JSON input document")
     io.add_argument("-o", "--output", metavar="FILE", help="write the output document here")
 
     parser = argparse.ArgumentParser(prog="fqlin", description=__doc__.splitlines()[0])
+    parser.set_defaults(order=INF, xprec=None)  # the manifest of a command that reads neither
     subs = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMAND_TABLE.items():
-        flags = [branch, check] if name == "solve-riccati" else [check] if name.startswith("solve-") else []
-        sub = subs.add_parser(name, parents=[common, *flags, io], help=command.help)
+        parents = [field, *(flags[flag] for flag in flags if flag in command.reads), io]
+        sub = subs.add_parser(name, parents=parents, help=command.help)
         for pos, _ in command.inputs:
             limit = f"each index k of t^[q^k] and order M - 1 of O(t^[q^M]) needs q^|k| <= 2^{MAX_TWIST_BITS}"
             sub.add_argument(pos, nargs="?", help=f"series expression (or supply it in the input document); {limit}")
-        for flag in command.options:
-            limit = f"q^|{flag}| <= 2^{MAX_TWIST_BITS}, so |{flag}| <= 1024 for q = 2"
-            if name == "power":
-                limit += "; the same bound holds for k times the largest |index| of z"
+        for flag, note in command.options:
+            limit = f"q^|{flag}| <= 2^{MAX_TWIST_BITS}, so |{flag}| <= 1024 for q = 2{note}"
             sub.add_argument(f"--{flag}", type=int, required=True, help=limit)
     return parser
 
@@ -335,12 +345,6 @@ def _raw(args, doc, name):
     return value
 
 
-def _required_order(args):
-    if args.order == INF:
-        raise ValidationError("this command needs --order N")
-    return args.order
-
-
 def _execute(args):
     doc = _load_doc(args)
     field = _resolve_field(args, doc)
@@ -353,7 +357,7 @@ def _execute(args):
         value = decode(field, _raw(args, doc, name))
         call.inputs[name] = encode(value)
         values.append(value)
-    for name in command.options:
+    for name, _ in command.options:
         call.extra[name] = getattr(args, name)
     result = command.run(call, *values)
     if not isinstance(result, dict):

@@ -171,11 +171,10 @@ class ImplicitProblem:
         except ZeroInput:
             raise NotSolvable("the linear part P_1 is zero") from None
         if fact.shift != nu:
-            raise NotSolvable(
-                f"P_1 starts at index {fact.shift}, expected nu = {nu}"
-            )
-        if nu == 0 and not P[0].coeff(0).is_zero():
-            raise NotSolvable("P_0 has a nonzero coefficient at index 0")
+            raise NotSolvable(f"P_1 starts at index {fact.shift}, expected nu = {nu}")
+        for j, c in P[0].terms.items():
+            if j <= 2 * nu and not c.is_zero():
+                raise NotSolvable(f"P_0 has a nonzero coefficient at index {j}")
 
     @property
     def field(self):
@@ -187,10 +186,7 @@ def solve_implicit(prob, order, xprec=INF):
     nu = prob.nu
     fld = prob.field
     p0, p1 = prob.P[0], prob.P[1]
-    u0_inv = factor_unit(p1).unit.coeff(0).inv()
-    for j in range(2 * nu + 1):
-        if not p0.coeff(j).is_zero():
-            raise NotSolvable(f"the constant term is nonzero at index {j} <= 2 nu")
+    u0_inv = p1.coeff(nu).inv()
     bounds = [order, p0.order - nu, p1.order + 1]
     bounds += [pk.order + k * (nu + 1) - nu for k, pk in enumerate(prob.P[2:], start=2)]
     n_eff = int(min(bounds))

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqlin import INF, CompSeries, FieldConfig, PerfSeries
+from fqlin import INF, CompSeries, FieldConfig, PerfSeries, emit_series, parse_comp_series
 from fqlin.carlitz import bracket, carlitz_d, carlitz_delta, tau_power
 from fqlin.errors import KernelError
 
-from conftest import F2, F3, F4, F4_OVER_F2, F9, field_id, perf_series
+from conftest import F2, F3, F4, F4_OVER_F2, F9, assert_cs_close, field_id, perf_series
 from test_series import comp_series, ev
 
 
@@ -127,6 +127,36 @@ def test_derivative_drops_order():
     assert carlitz_d(u).order == 3
     assert carlitz_d(CompSeries.monomial(F2, 0)).is_exact_zero()
     assert carlitz_d(CompSeries.monomial(F2, 2)).order == INF
+    # below index -1 too: u_{-4} is unknown, so d u is known up to index -6 only
+    d = carlitz_d(parse_comp_series(F2, "x*t^[q^-6] + O(t^[q^-4])"))
+    assert d.order == -6 and emit_series(d) == "(x^{65/128} + x)*t^[q^-7] + O(t^[q^-5])"
+
+
+# each operation f on (u, j): j is the twist count of tau and unused otherwise
+CUT_OPERATIONS = {
+    "d": lambda u, j: carlitz_d(u),
+    "delta": lambda u, j: carlitz_delta(u),
+    "tau": tau_power,
+}
+
+
+@pytest.mark.parametrize("name", CUT_OPERATIONS)
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_claimed_digit_is_determined(name, data):
+    """Cut an exact series at an order N in -4..3 and its coefficients at an
+    x-adic precision; f of the exact series agrees with f of the cut one at
+    every index and digit that the latter claims."""
+    cfg = data.draw(st.sampled_from([F2, F3, F4]))
+    order = data.draw(st.integers(-4, 3))
+    pair = st.tuples(st.integers(-5, order + 3), perf_series(cfg, max_terms=2, depth=1))
+    terms = data.draw(st.lists(pair, max_size=5))
+    cut = data.draw(st.one_of(st.none(), st.integers(-2, 4)))
+    exact = CompSeries(cfg, terms)
+    u = CompSeries(cfg, [(k, c.truncate(cut)) for k, c in terms], order)
+    j = data.draw(st.integers(-2, 2))
+    f = CUT_OPERATIONS[name]
+    assert_cs_close(f(exact, j), f(u, j))
 
 
 @given(st.data())

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from fqlin import FieldConfig, PerfSeries, ValidationError, emit_series, parse_comp_series
-from fqlin.cli import main, run_command
+from fqlin.cli import build_parser, main, run_command
 from fqlin.jsonio import canonical_dumps, decode_exp, encode_perf
 
 from conftest import F2, assert_cs_close
@@ -280,13 +280,11 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert main(["add", "t", "t"]) == 2
     assert main(["add", "--p", "2", "t"]) == 2
     assert main(["frobnicate"]) == 2
-    assert main(["add", "--p", "2", "t", "t", "--xprec", "a/b"]) == 2
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{", encoding="utf-8")
     assert main(["solve-ode", "-i", str(bad_json), "--order", "2"]) == 2
     no_order = write_doc(tmp_path, "x.json", {"field": {"p": 2}, "P": ["t^[q^1]", "t"]})
     assert main(["solve-implicit", "-i", no_order]) == 2
-    assert main(["add", "--p", "2", "t", "t", "--xprec", "1/-2"]) == 2
     neg_den = {"field": {"p": 2}, "u": {"N": None, "terms": [{"k": 0, "coef": {
         "prec": None, "terms": [{"e": {"num": 1, "den_exp": -1}, "c": [1]}]}}]}}
     assert main(["certify", "-i", write_doc(tmp_path, "neg.json", neg_den)]) == 2
@@ -307,7 +305,7 @@ def test_validation_exit_codes(tmp_path, capsys):
     # is refused where the flag is read, not recorded or failed on in a solver
     lift = str(Path(__file__).resolve().parents[1] / "fixtures" / "solve-riccati-lift" / "input.json")
     for argv in (
-        ["add", "--p", "2", "x", "x", "--xprec", "1/9"],
+        ["invert", "--p", "2", "t", "--order", "3", "--xprec", "1/9"],
         ["solve-riccati", "--order", "3", "--xprec", "1/9", "-i", lift],
     ):
         capsys.readouterr()
@@ -330,6 +328,8 @@ def test_validation_exit_codes(tmp_path, capsys):
     wide = {"field": {"p": 2}, "u": {"N": None, "terms": [{"k": 0, "coef": two_coords}]}}
     for argv, cause in (
         (["add", "--p", "2", "--mod", "1,a,1", "t", "t"], "--mod must be comma-separated integers"),
+        (["invert", "--p", "2", "t", "--order", "3", "--xprec", "a/b"], "--xprec must look like num or num/den_exp"),
+        (["invert", "--p", "2", "t", "--order", "3", "--xprec", "1/-2"], "den_exp must be in 0..1024, got -2"),
         (["add", "--p", "2", "--v", "2", "--mod", "1,0,1", "t", "t"], "is reducible over F_2"),
         (["add", "-i", str(tmp_path / "missing.json")], "cannot read input document"),
         (["add", "-i", write_doc(tmp_path, "mod.json", bad_modulus)], "modulus must be an array"),
@@ -383,7 +383,7 @@ def test_validation_exit_codes(tmp_path, capsys):
     "argv, doc",
     [
         (["add", "--p", "3", "x", "x", "--perf-depth", "99999999"], None),
-        (["add", "--p", "2", "x", "x", "--xprec", "1/99999999"], None),
+        (["invert", "--p", "2", "t", "--order", "3", "--xprec", "1/99999999"], None),
         (["certify"], {"field": {"p": 2}, "u": {"N": None, "terms": [{"k": 0, "coef": {
             "prec": None, "terms": [{"e": {"num": 1, "den_exp": 99999999}, "c": [1]}]}}]}}),
     ],
@@ -414,7 +414,7 @@ def assert_exits_2_within_5s(argv):
         ["bracket", "--p", "2", "--k", "100000000"],
         ["bracket", "--p", "2", "--k", "-100000000"],
         ["bracket", "--p", "65537", "--k", "1024"],
-        ["power", "--p", "2", "t + x*t^[q^1]", "--k", "100000000", "--order", "3"],
+        ["power", "--p", "2", "t + x*t^[q^1]", "--k", "100000000"],
         ["power", "--p", "2", "x*t^[q^1024]", "--k", "1024"],
         ["add", "--p", "1000000000000000003", "x", "x"],
         ["add", "--p", "2", "--s", "300", "x", "x"],
@@ -529,13 +529,40 @@ def test_manifest_digest_independent_of_input_form(tmp_path):
     assert golden["manifest"]["inputs"]["u"] == out_text["manifest"]["inputs"]["u"]
 
 
+SUBCOMMANDS = [
+    "add", "compose", "power", "invert", "factor", "ore", "fraction-normalize", "tau", "delta",
+    "d", "bracket", "solve-implicit", "solve-ode", "solve-riccati", "eval", "certify", "residual-check",
+]
+NEEDS_ORDER = ["solve-implicit", "solve-ode", "solve-riccati", "residual-check"]
+READS_ORDER = {"invert", "ore", "fraction-normalize", *NEEDS_ORDER}
+READS_XPREC = {"invert", "fraction-normalize", "solve-implicit", "solve-ode", "solve-riccati"}
+
+
 def test_help_lists_every_subcommand(capsys):
     assert main(["--help"]) == 0
     listed = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0].split(",")
-    assert listed == [
-        "add", "compose", "power", "invert", "factor", "ore", "fraction-normalize", "tau", "delta",
-        "d", "bracket", "solve-implicit", "solve-ode", "solve-riccati", "eval", "certify", "residual-check",
-    ]
+    assert listed == SUBCOMMANDS
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_order_and_xprec_belong_to_the_commands_that_read_them(command, capsys):
+    """A flag the command ignores would be recorded in the manifest as if it
+    had been applied, so it is refused; every command that reads it accepts it."""
+    base = [command, *{"power": ["--k", "1"], "tau": ["--j", "1"], "bracket": ["--k", "1"]}.get(command, [])]
+    base += ["--order", "2"] if command in NEEDS_ORDER else []
+    for flag, dest, readers in (("--order", "order", READS_ORDER), ("--xprec", "xprec", READS_XPREC)):
+        if command in readers:
+            assert getattr(build_parser().parse_args(base + [f"{flag}=1"]), dest) in (1, "1")
+        else:
+            capsys.readouterr()
+            assert main(base + [f"{flag}=1"]) == 2
+            assert f"unrecognized arguments: {flag}=1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", NEEDS_ORDER)
+def test_solvers_and_residual_check_need_order(command, capsys):
+    assert main([command, "-i", "problem.json"]) == 2
+    assert "the following arguments are required: --order" in capsys.readouterr().err
 
 
 def test_output_file_matches_stdout_document(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The public surface of the kernel's record types: their reprs, the value
 semantics of FieldConfig, the constructor forms that jsonio and
 bench/workloads.py call with their validation errors, and an import of the
-command line that loads neither ``dataclasses`` nor ``inspect``."""
+command line that loads none of ``dataclasses``, ``inspect`` and ``typing``."""
 
 import os
 import subprocess
@@ -105,6 +105,11 @@ def _bad_records():
         (lambda: ImplicitProblem((t, CompSeries.zero(F2))), NotSolvable, "the linear part P_1 is zero"),
         (lambda: ImplicitProblem((tq, tq, t)), NotSolvable, "P_1 starts at index 1, expected nu = 0"),
         (lambda: ImplicitProblem(P=(t, t, t), nu=0), NotSolvable, "P_0 has a nonzero coefficient at index 0"),
+        (
+            lambda: ImplicitProblem((CompSeries.monomial(F2, 2), tq), nu=1),
+            NotSolvable,
+            "P_0 has a nonzero coefficient at index 2",
+        ),
         (lambda: OdeProblem(F2, {(-1, 0): one}), v, "coefficient indices (j, k) must be >= 0"),
         (
             lambda: OdeProblem(F2, {(1025, 0): one}),
@@ -143,7 +148,7 @@ def test_record_validation_errors(make, error, message):
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # -S keeps the interpreter's site hooks, which are not fqlin's, out of the count
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    code = "import sys, fqlin.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = "import sys, fqlin.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

@@ -194,14 +194,14 @@ def test_implicit_rejects_bad_problems():
 
 
 def test_implicit_shifted_incompatible_constant():
-    # with nu = 1 the normalized constant term must vanish through index 2
+    # with nu = 1 the normalized constant term must vanish through index 2;
+    # the problem refuses it, before any solve
     t = CompSeries.identity(F2)
     tq = CompSeries.monomial(F2, 1)
     for bad_index in (0, 1, 2):
         p0 = CompSeries.monomial(F2, bad_index)
-        prob = ImplicitProblem((p0, tq, t), nu=1)
-        with pytest.raises(NotSolvable):
-            solve_implicit(prob, 4)
+        with pytest.raises(NotSolvable, match=f"P_0 has a nonzero coefficient at index {bad_index}"):
+            ImplicitProblem((p0, tq, t), nu=1)
 
 
 def test_implicit_residual_detects_perturbation():
