@@ -3,7 +3,7 @@
 The directories under fixtures/ are the list of cases. Each holds the exact
 command line (argv.json), an input document when the command reads one
 (input.json), and the output document the command must reproduce byte for
-byte (output.json). The script reruns every argv.json in sorted order and
+byte (output.json). The script reruns every case in sorted order and
 rewrites only output.json; it stops with the exit code of the first case
 that does not exit 0. To add a case, make a directory with argv.json (and
 input.json if the command reads one) and run
@@ -20,12 +20,19 @@ from fqlin.cli import run_command
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
+def run_case(case, output):
+    """Run the command line of the fixture directory ``case``, writing its
+    document to ``output``; return the exit code."""
+    argv = json.loads((case / "argv.json").read_text(encoding="utf-8"))
+    if (case / "input.json").exists():
+        argv += ["-i", str(case / "input.json")]
+    code, _ = run_command(argv + ["-o", str(output)])
+    return code
+
+
 def main():
     for case in sorted(p for p in FIXTURES.iterdir() if p.is_dir()):
-        argv = json.loads((case / "argv.json").read_text(encoding="utf-8"))
-        if (case / "input.json").exists():
-            argv += ["-i", str(case / "input.json")]
-        code, _ = run_command(argv + ["-o", str(case / "output.json")])
+        code = run_case(case, case / "output.json")
         if code != 0:
             print(f"{case.name}: exit {code}", file=sys.stderr)
             return code

@@ -746,7 +746,7 @@ class PerfSeries:
     def div(self, other, prec=INF):
         """The quotient self / other: the terms and precision of
         ``self * other.inv(prec)``, without forming the inverse (``_div``)."""
-        if prec is None or prec == INF:
+        if prec == INF:
             return self._div(other)
         fld, prec = other.field, Fraction(prec)
         n, r = divmod(prec.numerator * fld._scale, prec.denominator)
@@ -856,11 +856,8 @@ class PerfSeries:
                 _scaled(fld, Fraction(n, fld._scale * qe))  # raises
         return PerfSeries._make(fld, [(n // qe, c) for n, c in terms], None if prec is None else prec // qe)
 
-    def root_q(self):
-        return self.frobenius(-1)
-
     def truncate(self, prec):
-        if prec is None or prec == INF:
+        if prec == INF:
             return self
         prec = Fraction(prec)
         n, r = divmod(prec.numerator * self.field._scale, prec.denominator)

@@ -419,7 +419,7 @@ def solve_riccati(prob, order, xprec=INF, trace=None):
     q = fld.q
     wprec = Fraction(DEFAULT_XPREC if xprec == INF else xprec) + 4
     lam = prob.lam
-    root_bracket = bracket(fld, -1).root_q()  # [-1]^{1/q}, exact
+    root_bracket = bracket(fld, -1).frobenius(-1)  # [-1]^{1/q}, exact
     if lam.prec == INF and len(lam.terms) == 1:
         lam_inv = lam.inv()  # exact for a monomial
     else:

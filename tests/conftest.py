@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from fqlin import FieldConfig, PerfSeries
+from fqlin import INF, CompSeries, FieldConfig, PerfSeries
 
 F2 = FieldConfig(p=2)
 F3 = FieldConfig(p=3)
@@ -34,6 +34,16 @@ def elems(cfg, nonzero=False):
     if nonzero:
         strat = strat.filter(lambda e: not e.is_zero())
     return strat
+
+
+def random_elem(rng, cfg, nonzero=False):
+    """An element with coordinates drawn from the seeded ``rng``, drawn again
+    while it is zero if ``nonzero``.  The pinned digests of the seeded sweeps
+    depend on this draw order."""
+    while True:
+        e = cfg.elem([rng.randrange(cfg.p) for _ in range(cfg.degree)])
+        if not (nonzero and e.is_zero()):
+            return e
 
 
 def exponents(cfg, depth=2, span=6):
@@ -89,3 +99,13 @@ def perf_series(cfg, max_terms=4, depth=2, exact=True, nonzero=False):
     if nonzero:
         strat = strat.filter(lambda s: not s.is_zero())
     return strat
+
+
+def comp_series(cfg, max_terms=3, index_range=(-2, 3), exact=True):
+    lo, hi = index_range
+    pair = st.tuples(st.integers(lo, hi), perf_series(cfg, max_terms=2, depth=1))
+    pairs = st.lists(pair, max_size=max_terms)
+    if exact:
+        return pairs.map(lambda ts: CompSeries(cfg, ts))
+    order = st.one_of(st.just(INF), st.integers(lo, hi + 1))
+    return st.builds(lambda ts, o: CompSeries(cfg, ts, o), pairs, order)

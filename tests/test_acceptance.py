@@ -36,8 +36,9 @@ from fqlin import (
 )
 from fqlin.cli import main
 from fqlin.jsonio import decode_comp, decode_perf, encode_comp, encode_perf
-
 from fqlin.textio import parse_comp_series, parse_perf_series
+
+from conftest import random_elem
 
 F2 = FieldConfig(p=2)
 F3 = FieldConfig(p=3)
@@ -54,19 +55,12 @@ def report(number, ok, detail):
 # -- deterministic random draws ---------------------------------------------------
 
 
-def rand_elem(rng, field, nonzero=False):
-    while True:
-        c = field.elem([rng.randrange(field.p) for _ in range(field.degree)])
-        if not (nonzero and c.is_zero()):
-            return c
-
-
 def rand_perf(rng, field, max_terms=2, span=3, depth=0, nonzero=False):
     while True:
         pairs = []
         for _ in range(rng.randint(1, max_terms)):
             e = Fraction(rng.randint(-span, span), field.p ** rng.randint(0, depth))
-            pairs.append((e, rand_elem(rng, field)))
+            pairs.append((e, random_elem(rng, field)))
         s = PerfSeries(field, pairs)
         if not (nonzero and s.is_zero()):
             return s
@@ -85,7 +79,7 @@ def rand_comp(rng, field, max_index=8, max_terms=3, min_index=0, nonzero=False, 
 
 def rand_unit(rng, field, max_index=4):
     """A composition unit whose leading coefficient stays exactly invertible."""
-    lead = PerfSeries.x_pow(field, rng.randint(-2, 2), rand_elem(rng, field, nonzero=True))
+    lead = PerfSeries.x_pow(field, rng.randint(-2, 2), random_elem(rng, field, nonzero=True))
     terms = {0: lead}
     for _ in range(rng.randint(0, 2)):
         terms[rng.randint(1, max_index)] = rand_perf(rng, field)
@@ -186,7 +180,7 @@ def test_criterion_4_carlitz_consistency():
             du = carlitz_d(u)
             kappa = max(growth_certificate(u).kappa, growth_certificate(du).kappa)
             m = int(kappa) + 1 + rng.randint(0, 2)
-            t0 = PerfSeries.x_pow(cfg, m, rand_elem(rng, cfg, nonzero=True))
+            t0 = PerfSeries.x_pow(cfg, m, random_elem(rng, cfg, nonzero=True))
             lhs = du.eval_at(t0).frobenius(1)
             x = PerfSeries.x_pow(cfg, 1)
             rhs = u.eval_at(x * t0) - x * u.eval_at(t0)
@@ -262,7 +256,7 @@ def ode_case(rng, cfg, allow_poles=False):
         k = rng.randint(0, 2)
         span_lo = -2 if (allow_poles and k == 0) else 0
         e = rng.randint(span_lo, 3)
-        a[(j, k)] = PerfSeries.x_pow(cfg, e, rand_elem(rng, cfg, nonzero=True))
+        a[(j, k)] = PerfSeries.x_pow(cfg, e, random_elem(rng, cfg, nonzero=True))
     return OdeProblem(field=cfg, a=a)
 
 
@@ -349,16 +343,16 @@ def test_criterion_7_growth_certificates():
 def riccati_case(rng, cfg):
     q = cfg.q
     floor = Fraction(1, q * q)
-    lam = PerfSeries.x_pow(cfg, floor, rand_elem(rng, cfg, nonzero=True))
+    lam = PerfSeries.x_pow(cfg, floor, random_elem(rng, cfg, nonzero=True))
     p = {}
     r = {}
     for _ in range(rng.randint(0, 2)):
         p[rng.randint(1, 2)] = PerfSeries.x_pow(
-            cfg, floor + rng.randint(1, 2), rand_elem(rng, cfg, nonzero=True)
+            cfg, floor + rng.randint(1, 2), random_elem(rng, cfg, nonzero=True)
         )
     for _ in range(rng.randint(0, 2)):
         r[rng.randint(0, 2)] = PerfSeries.x_pow(
-            cfg, floor + rng.randint(1, 2), rand_elem(rng, cfg, nonzero=True)
+            cfg, floor + rng.randint(1, 2), random_elem(rng, cfg, nonzero=True)
         )
     return RiccatiProblem(lam=lam, p=p, r=r)
 
@@ -389,7 +383,7 @@ def test_criterion_8_riccati():
             prob = riccati_case(rng, cfg)
             trace = []
             c, a = solve_riccati(prob, order, xprec=xprec, trace=trace)
-            root = bracket(cfg, -1).root_q()
+            root = bracket(cfg, -1).frobenius(-1)
             assert (prob.lam * c - root).is_zero()
             assert all(item.valuation_lb() >= 0 for item in a)
             for entry in trace:
@@ -429,7 +423,7 @@ def test_criterion_9_cross_oracle():
             ka = growth_certificate(a).kappa
             m = int(max(ka, kb)) + 1
             while True:
-                t0 = PerfSeries.x_pow(cfg, m, rand_elem(rng, cfg, nonzero=True))
+                t0 = PerfSeries.x_pow(cfg, m, random_elem(rng, cfg, nonzero=True))
                 b_t0 = b.eval_at(t0)
                 if b_t0.is_zero() or b_t0.valuation_lb() > ka:
                     break

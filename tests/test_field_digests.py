@@ -18,19 +18,14 @@ from fqlin import FieldConfig, PerfSeries
 from fqlin.fields import least_factor_degree
 from fqlin.textio import emit_series
 
-
-def _elem(rng, cfg, nonzero=False):
-    while True:
-        e = cfg.elem([rng.randrange(cfg.p) for _ in range(cfg.degree)])
-        if e or not nonzero:
-            return e
+from conftest import random_elem
 
 
 def _series(rng, cfg, n_terms, span, prec=None):
     """n_terms distinct exponents k/p with 0 <= k < span and random nonzero
     coefficients, exact unless prec is given."""
     exps = rng.sample(range(span), n_terms)
-    terms = [(Fraction(k, cfg.p), _elem(rng, cfg, nonzero=True)) for k in exps]
+    terms = [(Fraction(k, cfg.p), random_elem(rng, cfg, nonzero=True)) for k in exps]
     return PerfSeries(cfg, terms) if prec is None else PerfSeries(cfg, terms, prec)
 
 
@@ -39,15 +34,15 @@ def _outputs(cfg):
     rng = random.Random(f"pinned {cfg.p}^{cfg.degree}")
     long_a, long_b = _series(rng, cfg, 150, 600), _series(rng, cfg, 150, 600)
     short = [_series(rng, cfg, 5, 40, prec=rng.choice([None, 9, Fraction(31, cfg.p)])) for _ in range(4)]
-    unit = PerfSeries(cfg, [(0, _elem(rng, cfg, nonzero=True))] + list(_series(rng, cfg, 4, 30).terms))
+    unit = PerfSeries(cfg, [(0, random_elem(rng, cfg, nonzero=True))] + list(_series(rng, cfg, 4, 30).terms))
     out = {"products": [long_a * long_b] + [a * b for a in short for b in short]}
     out["sums"] = [long_a + long_b, long_a - long_b] + [a + b for a in short for b in short] + [-a for a in short]
     out["div"] = [unit.inv(prec=12), unit.inv(prec=Fraction(7, cfg.p))] + [a.div(unit, prec=10) for a in short]
     out["frobenius"] = [a.frobenius(e) for a in (long_a, *short) for e in (1, -1)]
-    pairs = [(_elem(rng, cfg), _elem(rng, cfg, nonzero=True)) for _ in range(40)]
+    pairs = [(random_elem(rng, cfg), random_elem(rng, cfg, nonzero=True)) for _ in range(40)]
     out["elements"] = [x * y for x, y in pairs] + [y.inverse() for _, y in pairs]
     out["elements"] += [x.pow_p(k) for x, _ in pairs[:10] for k in range(-1, cfg.degree + 1)]
-    polys = [[_elem(rng, cfg) for _ in range(d)] + [_elem(rng, cfg, nonzero=True)] for d in (2, 3, 4)]
+    polys = [[random_elem(rng, cfg) for _ in range(d)] + [random_elem(rng, cfg, nonzero=True)] for d in (2, 3, 4)]
     polys.append([cfg.zero(), cfg.one(), cfg.one()])  # w + w^2: a root in every field
     out["factor"] = [least_factor_degree(f) for f in polys]
     return out

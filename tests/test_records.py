@@ -1,7 +1,8 @@
-"""The public surface of the kernel's record types: their reprs, the value
-semantics of FieldConfig, the constructor forms that jsonio and
-bench/workloads.py call with their validation errors, and an import of the
-command line that loads none of ``dataclasses``, ``inspect`` and ``typing``."""
+"""The public surface: every exported name resolves; the kernel's record
+types, their reprs, the value semantics of FieldConfig, and the constructor
+forms that jsonio and bench/workloads.py call with their validation errors;
+and an import of the command line that loads none of ``dataclasses``,
+``inspect`` and ``typing``."""
 
 import os
 import subprocess
@@ -11,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import fqlin
+import fqlin.solvers
+import fqlin.textio
 from fqlin import (
     INF,
     CompSeries,
@@ -33,6 +37,14 @@ from fqlin.series import GrowthCertificate
 from conftest import F2, F3
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_exported_names_resolve():
+    # a name deleted from a module but left in its __all__ breaks only
+    # ``from ... import *``, which nothing else here runs
+    for module in (fqlin, fqlin.solvers, fqlin.textio):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], f"{module.__name__}.__all__ names missing {missing}"
 
 
 def test_record_reprs():

@@ -29,7 +29,7 @@ from fqlin import (
     solve_riccati,
 )
 
-from conftest import F2, F3, F4, F4_OVER_F2, elems
+from conftest import F2, F3, F4, F4_OVER_F2, elems, random_elem
 from fqlin import FieldConfig
 from fqlin.errors import KernelError, PerfectionDepthExceeded
 import fqlin.solvers
@@ -60,9 +60,9 @@ def step_defect(prob, c, a, l):
     """alpha w - beta w^q - rhs_l at the computed w = a_{l+1}^{1/q}."""
     fld = prob.field
     q = fld.q
-    alpha = bracket(fld, l + 1).root_q() - bracket(fld, -1).root_q()
+    alpha = bracket(fld, l + 1).frobenius(-1) - bracket(fld, -1).frobenius(-1)
     beta = prob.lam * c.frobenius(l + 1)
-    w = a[l + 1].root_q()
+    w = a[l + 1].frobenius(-1)
     return alpha * w - beta * a[l + 1] - step_rhs(prob, c, a, l)
 
 
@@ -109,7 +109,7 @@ def test_golden_leading_term_identity():
     for cfg, exp in ((F2, Fraction(1, 4)), (F3, Fraction(1, 9))):
         lam = PerfSeries.x_pow(cfg, exp, 1)
         c, _ = solve_riccati(RiccatiProblem(lam), 1, xprec=Fraction(8))
-        assert (lam * c - bracket(cfg, -1).root_q()).is_zero()
+        assert (lam * c - bracket(cfg, -1).frobenius(-1)).is_zero()
 
 
 def test_branch_nonzero_char2_subfield():
@@ -145,7 +145,7 @@ def test_branch_nonzero_odd_characteristic():
         RiccatiProblem(lam9, branch="nonzero"), 1, xprec=Fraction(4)
     )
     assert a[0] == PerfSeries.constant(F9_OVER_F3, F9_OVER_F3.gen())
-    assert (a[0].root_q() + a[0]).is_zero()
+    assert (a[0].frobenius(-1) + a[0]).is_zero()
 
 
 # the zero branch over F_2 and F_3, and the nonzero branch, which seeds a_0
@@ -319,7 +319,7 @@ def test_multi_term_lambda():
     )
     prob = RiccatiProblem(lam, r={0: PerfSeries.x_pow(F2, 1)})
     c, a = solve_riccati(prob, 3, xprec=Fraction(8))
-    assert (lam * c - bracket(F2, -1).root_q()).is_zero()
+    assert (lam * c - bracket(F2, -1).frobenius(-1)).is_zero()
     y = riccati_series(c, a, F2)
     res = residual(prob, y, 2)
     assert all(cc.is_zero() for cc in res.terms.values())
@@ -364,19 +364,12 @@ def test_riccati_series_shape():
 SWEEP_FIELDS = [F2, F3, F4, F4_OVER_F2, F9_OVER_F3, FieldConfig(p=5)]
 
 
-def _sweep_elem(rng, cfg):
-    while True:
-        e = cfg.elem([rng.randrange(cfg.p) for _ in range(cfg.degree)])
-        if e:
-            return e
-
-
 def _sweep_coeff(rng, cfg, lead):
     """One to three terms from x^lead up, in steps of 1/q; 40% of them known
     only to a precision a little above lead."""
     q = cfg.q
     exps = {lead} | {lead + Fraction(rng.randint(1, 2 * q), q) for _ in range(rng.randint(0, 2))}
-    s = PerfSeries(cfg, [(e, _sweep_elem(rng, cfg)) for e in sorted(exps)])
+    s = PerfSeries(cfg, [(e, random_elem(rng, cfg, nonzero=True)) for e in sorted(exps)])
     if rng.random() < 0.4:
         s = s + PerfSeries.zero(cfg, prec=lead + Fraction(rng.randint(1, 3 * q), q))
     return s
@@ -458,7 +451,7 @@ BENCH_SHAPES = [
 def bench_shaped_problem(rng, cfg, branch):
     """lambda at valuation exactly 1/q^2, p_1 one and r_0 two above it."""
     floor = Fraction(1, cfg.q**2)
-    lam, p1, r0 = (PerfSeries.x_pow(cfg, floor + k, _sweep_elem(rng, cfg)) for k in (0, 1, 2))
+    lam, p1, r0 = (PerfSeries.x_pow(cfg, floor + k, random_elem(rng, cfg, nonzero=True)) for k in (0, 1, 2))
     return RiccatiProblem(lam, {1: p1}, {0: r0}, branch)
 
 

@@ -38,7 +38,7 @@ from fqlin import (
     untransform_ode_solution,
 )
 
-from conftest import F2, F3, F4, assert_cs_close, elems, oracle_multinomial, perf_series
+from conftest import F2, F3, F4, assert_cs_close, elems, oracle_multinomial, perf_series, random_elem
 
 
 def oracle_implicit(field, q0, qk, order):
@@ -449,17 +449,10 @@ def test_riccati_residual_reads_no_coefficient_past_its_cut():
 PIN_FIELDS = [F2, F3, F4, FieldConfig(p=3, s=2), FieldConfig(p=2, s=2)]
 
 
-def _pin_elem(rng, cfg):
-    while True:
-        e = cfg.elem([rng.randrange(cfg.p) for _ in range(cfg.degree)])
-        if e:
-            return e
-
-
 def _pin_scalar(rng, cfg, n_terms, lo, hi):
     """Exact scalar with n_terms monomials at integer exponents in [lo, hi]."""
     exps = rng.sample(range(lo, hi + 1), n_terms)
-    return PerfSeries(cfg, [(Fraction(e), _pin_elem(rng, cfg)) for e in exps])
+    return PerfSeries(cfg, [(Fraction(e), random_elem(rng, cfg, nonzero=True)) for e in exps])
 
 
 def _pin_problems(rng, cfg, order, xprec):
@@ -470,14 +463,14 @@ def _pin_problems(rng, cfg, order, xprec):
         return _pin_scalar(rng, cfg, n_terms, lo, hi)
 
     def x_pow(e):
-        return PerfSeries.x_pow(cfg, e, _pin_elem(rng, cfg))
+        return PerfSeries.x_pow(cfg, e, random_elem(rng, cfg, nonzero=True))
 
     p0 = CompSeries(cfg, {i: s(3, 0, 5) for i in (1, 2, 3)})
-    p1 = CompSeries(cfg, {0: PerfSeries.constant(cfg, _pin_elem(rng, cfg)), 1: s(2, 0, 4), 2: s(2, 0, 4)})
+    p1 = CompSeries(cfg, {0: PerfSeries.constant(cfg, random_elem(rng, cfg, nonzero=True)), 1: s(2, 0, 4), 2: s(2, 0, 4)})
     nonlinear = [CompSeries(cfg, {i: s(2, 0, 4) for i in (0, 1)}) for _ in (2, 3)]
     imp = ImplicitProblem((p0, p1, *nonlinear))
     yield imp, solve_implicit(imp, order, xprec=xprec)[0]
-    pole = PerfSeries(cfg, [(Fraction(-rng.randint(1, 3)), _pin_elem(rng, cfg)), (Fraction(rng.randint(0, 3)), _pin_elem(rng, cfg))])
+    pole = PerfSeries(cfg, [(Fraction(-rng.randint(1, 3)), random_elem(rng, cfg, nonzero=True)), (Fraction(rng.randint(0, 3)), random_elem(rng, cfg, nonzero=True))])
     a = {(0, 0): pole, (1, 0): x_pow(-rng.randint(1, 3)), (1, 1): s(1, 0, 3), (0, 2): s(2, 0, 3), (1, 3): s(1, 0, 3)}
     ode = OdeProblem(cfg, a)
     norm, gamma = normalize_time_change(ode)
@@ -501,7 +494,7 @@ def test_residual_sweep_pinned():
         for cfg in PIN_FIELDS:
             rng = random.Random(f"residual sweep {seed} {cfg.p}^{cfg.degree}")
             for prob, z in _pin_problems(rng, cfg, 4, Fraction(10)):
-                extra = CompSeries.monomial(cfg, rng.randint(1, 4), PerfSeries.x_pow(cfg, rng.randint(-4, 4), _pin_elem(rng, cfg)))
+                extra = CompSeries.monomial(cfg, rng.randint(1, 4), PerfSeries.x_pow(cfg, rng.randint(-4, 4), random_elem(rng, cfg, nonzero=True)))
                 for cand in (z, z + extra):
                     lines += [repr(residual(prob, cand, order)) for order in (2, 4, 6)]
                     lines += [repr(cand.self_power(k)) for k in range(4)]

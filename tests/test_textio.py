@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fqlin import INF, CompSeries, PerfSeries
+from fqlin import CompSeries, PerfSeries
 from fqlin.errors import KernelError, ParseError, ValidationError
 from fqlin.textio import (
     emit_comp_series,
@@ -17,17 +17,7 @@ from fqlin.textio import (
     parse_series,
 )
 
-from conftest import F2, F3, F4, F4_OVER_F2, SMALL_FIELDS, exponents, field_id, perf_series
-
-
-def comp_series(cfg, max_terms=3, index_range=(-2, 3), exact=True):
-    lo, hi = index_range
-    pair = st.tuples(st.integers(lo, hi), perf_series(cfg, max_terms=2, depth=1))
-    pairs = st.lists(pair, max_size=max_terms)
-    if exact:
-        return pairs.map(lambda ts: CompSeries(cfg, ts))
-    order = st.one_of(st.just(INF), st.integers(lo, hi + 1))
-    return st.builds(lambda ts, o: CompSeries(cfg, ts, o), pairs, order)
+from conftest import F2, F3, F4, F4_OVER_F2, SMALL_FIELDS, comp_series, exponents, field_id, perf_series
 
 
 # -- golden parses -------------------------------------------------------------
