@@ -42,15 +42,7 @@ from .jsonio import (
 )
 from .ore import OreFraction, factor_unit, fraction_normalize, invert_unit, ore_left_multiple
 from .series import growth_certificate
-from .solvers import (
-    normalize_time_change,
-    residual,
-    riccati_series,
-    solve_implicit,
-    solve_ode,
-    solve_riccati,
-    untransform_ode_solution,
-)
+from .solvers import residual, riccati_series, solve_implicit, solve_ode, solve_riccati
 from .textio import emit_series
 
 # Decoder and encoder of each kind of positional input.  The lambdas read the
@@ -131,10 +123,18 @@ def _checked(call, prob, candidate, result):
     return result
 
 
-def _solve_implicit(call):
-    prob = decode_implicit(call.field, call.doc)
+def _decoded(call, decode, doc):
+    """The problem of an input document, recorded in the manifest."""
+    prob = decode(call.field, doc)
     call.inputs["problem"] = encode_problem(prob)
-    z, cert = solve_implicit(prob, call.args.order, xprec=call.xprec)
+    return prob
+
+
+def _solve(call, decode, solve):
+    """solve-implicit and solve-ode: the problem as posed, its solution z and
+    the certificate that the solver returns."""
+    prob = _decoded(call, decode, call.doc)
+    z, cert = solve(prob, call.args.order, xprec=call.xprec)
     result = {
         "z": encode_comp(z),
         "text": emit_series(z),
@@ -143,25 +143,9 @@ def _solve_implicit(call):
     return _checked(call, prob, z, result)
 
 
-def _solve_ode(call):
-    prob = decode_ode(call.field, call.doc)
-    call.inputs["problem"] = encode_problem(prob)
-    norm, gamma = normalize_time_change(prob)
-    zp, _ = solve_ode(norm, call.args.order, xprec=call.xprec)
-    z = zp if norm is prob else untransform_ode_solution(zp, gamma)
-    result = {
-        "z": encode_comp(z),
-        "text": emit_series(z),
-        "gamma": encode_perf(gamma),
-        "certificate": encode_certificate(growth_certificate(z), call.field.p),
-    }
-    return _checked(call, prob, z, result)
-
-
 def _solve_riccati(call):
     doc = call.doc if call.args.branch is None else dict(call.doc, branch=call.args.branch)
-    prob = decode_riccati(call.field, doc)
-    call.inputs["problem"] = encode_problem(prob)
+    prob = _decoded(call, decode_riccati, doc)
     call.extra["branch"] = prob.branch
     c, a = solve_riccati(prob, call.args.order, xprec=call.xprec)
     y = riccati_series(c, a, call.field)
@@ -183,9 +167,8 @@ def _residual_check(call):
     problem_doc = call.doc.get("problem")
     if not isinstance(problem_doc, dict):
         raise ValidationError('residual-check needs a "problem" object')
-    prob = decoder(call.field, problem_doc)
+    prob = _decoded(call, decoder, problem_doc)
     candidate = comp_value(call.field, _raw(call.args, call.doc, "candidate"))
-    call.inputs["problem"] = encode_problem(prob)
     call.inputs["candidate"] = encode_comp(candidate)
     call.extra["type"] = kind
     res = residual(prob, candidate, call.args.order)
@@ -228,9 +211,15 @@ COMMAND_TABLE = {
     "d": Command("the Carlitz derivative", lambda call, u: carlitz_d(u), U),
     "bracket": Command("the element x^{q^k} - x", lambda call: bracket(call.field, call.args.k), (), (("k", ""),)),
     "solve-implicit": Command(
-        "solve an implicit composition equation from the input document", _solve_implicit, reads=SOLVE
+        "solve an implicit composition equation from the input document",
+        lambda call: _solve(call, decode_implicit, solve_implicit),
+        reads=SOLVE,
     ),
-    "solve-ode": Command("solve d z = sum a_jk tau^j z^{o k} from the input document", _solve_ode, reads=SOLVE),
+    "solve-ode": Command(
+        "solve d z = sum a_jk tau^j z^{o k} from the input document",
+        lambda call: _solve(call, decode_ode, solve_ode),
+        reads=SOLVE,
+    ),
     "solve-riccati": Command(
         "solve d y = lam (y o y) + P(y) + R from the input document", _solve_riccati, reads=SOLVE + ("branch",)
     ),

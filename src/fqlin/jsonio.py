@@ -176,12 +176,11 @@ def decode_ode(field, doc):
     _require(isinstance(doc, dict), "differential problem must be an object")
     entries = doc.get("a")
     _require(isinstance(entries, list), "a must be an array of {j, k, coef} entries")
-    a = {}
+    a = []  # OdeProblem sums a repeated (j, k)
     for item in entries:
         _require(isinstance(item, dict), "right-side entry must be an object")
         key = (_int(item.get("j"), "j"), _int(item.get("k"), "k"))
-        coef = perf_value(field, item.get("coef"))
-        a[key] = a[key] + coef if key in a else coef
+        a.append((key, perf_value(field, item.get("coef"))))
     return OdeProblem(field=field, a=a)
 
 
@@ -190,13 +189,12 @@ def decode_riccati(field, doc):
     lam = doc.get("lam")
     _require(lam is not None, "Riccati problem needs lam")
 
-    def keyed(name):
-        out = {}
+    def keyed(name):  # RiccatiProblem sums a repeated k
+        out = []
         items = doc.get(name)
         for item in [] if items is None else _array(items, name):
             _require(isinstance(item, dict), f"{name} entry must be an object")
-            k, coef = _int(item.get("k"), "k"), perf_value(field, item.get("coef"))
-            out[k] = out[k] + coef if k in out else coef
+            out.append((_int(item.get("k"), "k"), perf_value(field, item.get("coef"))))
         return out
 
     return RiccatiProblem(

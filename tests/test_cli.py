@@ -113,6 +113,17 @@ def test_solve_ode_golden(tmp_path):
     assert out_repeated == out_summed
 
 
+def test_solve_ode_as_posed_needs_no_perfection_depth(tmp_path):
+    # solved as posed, this ODE keeps integer exponents, so depth 0 holds it;
+    # a time change would shift c_1 by x^{1/3}.  The residual's q-th root
+    # does leave the integers, so --check exits 3
+    doc = {"field": {"p": 3}, "a": [{"j": 0, "k": 0, "coef": "x^-1"}, {"j": 0, "k": 2, "coef": "1"}]}
+    argv = ["solve-ode", "-i", write_doc(tmp_path, "ode.json", doc), "--order", "3", "--xprec", "6", "--perf-depth", "0"]
+    code, out = run_command(argv)
+    assert code == 0 and out["manifest"]["perf_depth"] == 0
+    assert run_command(argv + ["--check"]) == (3, None)
+
+
 def test_solve_riccati_golden(tmp_path):
     argv = ["solve-riccati", "--order", "3", "--xprec", "8", "--check"]
     base = {"field": {"p": 2}, "lam": "x^{1/4}"}

@@ -1,7 +1,8 @@
 """The public surface: every exported name resolves; the kernel's record
 types, their reprs, the value semantics of FieldConfig, and the constructor
 forms that jsonio and bench/workloads.py call with their validation errors;
-and an import of the command line that loads none of ``dataclasses``,
+the kernel's refusals of mixed fields and of types it has no case for; and
+an import of the command line that loads none of ``dataclasses``,
 ``inspect`` and ``typing``."""
 
 import os
@@ -26,11 +27,15 @@ from fqlin import (
     RiccatiProblem,
     ValidationError,
     ZeroDenominator,
+    emit_series,
     factor_unit,
     fraction_normalize,
+    ore_left_multiple,
     parse_series,
+    residual,
 )
-from fqlin.jsonio import decode_implicit, decode_ode, decode_riccati
+from fqlin.fields import twisted_sum
+from fqlin.jsonio import decode_implicit, decode_ode, decode_riccati, encode_problem
 from fqlin.ore import OreFraction
 from fqlin.series import GrowthCertificate
 
@@ -101,6 +106,19 @@ def test_problem_constructor_forms():
     doc = {"lam": "x^{1/4}", "p": [{"k": 1, "coef": "x"}], "r": [{"k": 0, "coef": "x^{1/2}"}]}
     ric = decode_riccati(F2, doc)
     assert (ric.lam, ric.p, ric.r, ric.branch) == (lam, {1: p1}, {0: r0}, "zero")
+    # (key, coefficient) pairs sum a repeated key, as CompSeries and the JSON
+    # documents do; the valuation check and the exact-zero drop see the sum
+    x3 = PerfSeries.x_pow(F2, 3)
+    assert OdeProblem(F2, [((0, 0), p1), ((0, 0), x3)]).a == {(0, 0): p1 + x3}
+    assert OdeProblem(F2, [((0, 0), p1), ((1, 1), x3), ((0, 0), p1)]).a == {(1, 1): x3}
+    low = PerfSeries.x_pow(F2, Fraction(1, 8))
+    ric = RiccatiProblem(lam, [(1, p1), (1, x3)], [(0, r0), (1, low), (1, low)])
+    assert (ric.p, ric.r) == ({1: p1 + x3}, {0: r0})
+    # every entry's indices are checked before the sum, even one that cancels
+    with pytest.raises(ValidationError, match="coefficient indices"):
+        OdeProblem(F2, [((-1, 0), p1), ((-1, 0), p1)])
+    with pytest.raises(ValidationError, match="p_0 index below 1"):
+        RiccatiProblem(lam, [(0, p1), (0, p1)])
 
 
 def _bad_records():
@@ -150,7 +168,24 @@ def _bad_records():
     ]
 
 
-@pytest.mark.parametrize("make, error, message", _bad_records())
+def _bad_calls():
+    """Operands over two fields, and values of a type an operation has no
+    case for."""
+    t2, t3 = CompSeries.identity(F2), CompSeries.identity(F3)
+    v = ValidationError
+    return [
+        (lambda: F2.elem(F3.one()), v, "element belongs to a different field"),
+        (lambda: twisted_sum(F3, [(PerfSeries.one(F2), PerfSeries.one(F2), 0)]), v, "mixed-field series arithmetic"),
+        (lambda: t2 + t3, v, "mixed-field composition arithmetic"),
+        (lambda: t2.eval_at(t2), v, "evaluation point must be a scalar series"),
+        (lambda: ore_left_multiple(t2, t3), v, "mixed-field Ore construction"),
+        (lambda: emit_series(F2.one()), v, "cannot emit FieldElem as text"),
+        (lambda: encode_problem(t2), v, "cannot encode CompSeries"),
+        (lambda: residual(t2, t2, 2), v, "no residual for problem type CompSeries"),
+    ]
+
+
+@pytest.mark.parametrize("make, error, message", _bad_records() + _bad_calls())
 def test_record_validation_errors(make, error, message):
     with pytest.raises(error) as info:
         make()

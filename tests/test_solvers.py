@@ -38,7 +38,7 @@ from fqlin import (
     untransform_ode_solution,
 )
 
-from conftest import F2, F3, F4, assert_cs_close, elems, oracle_multinomial, perf_series, random_elem
+from conftest import F2, F3, F4, F9, assert_cs_close, elems, oracle_multinomial, perf_series, random_elem
 
 
 def oracle_implicit(field, q0, qk, order):
@@ -333,6 +333,25 @@ def test_time_change_round_trip(data):
     assert zero_residual(residual(prob, z, order))
 
 
+def test_posed_solve_matches_the_time_change_reference():
+    # solving the problem as posed (what solve-ode runs) against the time
+    # change's round trip: every digit both know agrees, the posed solve
+    # knows at least as many, and its residual is zero
+    for cfg in (F2, F3, F4, F9):
+        for seed in range(10):
+            prob = _pole_ode(random.Random(f"posed ode {seed} {cfg.p}^{cfg.degree}"), cfg)
+            norm, gamma = normalize_time_change(prob)
+            assert norm is not prob  # a_10 has a pole, so gamma != 1
+            for order, xprec in ((6, Fraction(24)), (8, Fraction(40))):
+                z, _ = solve_ode(prob, order, xprec=xprec)
+                ref = untransform_ode_solution(solve_ode(norm, order, xprec=xprec)[0], gamma)
+                for i in range(1, order + 1):
+                    c, r = z.coeff(i), ref.coeff(i)
+                    assert c.prec >= r.prec, (cfg, seed, order, i)
+                    assert not (c - r).truncate(r.prec).terms, (cfg, seed, order, i)
+                assert zero_residual(residual(prob, z, order))
+
+
 def test_growth_certificate_reflects_poles():
     prob = OdeProblem(F2, {(0, 0): PerfSeries.x_pow(F2, -1)})
     z, cert = solve_ode(prob, 3)
@@ -455,6 +474,21 @@ def _pin_scalar(rng, cfg, n_terms, lo, hi):
     return PerfSeries(cfg, [(Fraction(e), random_elem(rng, cfg, nonzero=True)) for e in exps])
 
 
+def _pole_ode(rng, cfg):
+    """An ODE in the shape of the benchmark's pole ODEs: poles in a_00 (two
+    terms) and a_10 (one term), and the nonlinear a_11, a_02 and a_13."""
+    elem = lambda: random_elem(rng, cfg, nonzero=True)
+    pole = PerfSeries(cfg, [(Fraction(-rng.randint(1, 3)), elem()), (Fraction(rng.randint(0, 3)), elem())])
+    a = {
+        (0, 0): pole,
+        (1, 0): PerfSeries.x_pow(cfg, -rng.randint(1, 3), elem()),
+        (1, 1): _pin_scalar(rng, cfg, 1, 0, 3),
+        (0, 2): _pin_scalar(rng, cfg, 2, 0, 3),
+        (1, 3): _pin_scalar(rng, cfg, 1, 0, 3),
+    }
+    return OdeProblem(cfg, a)
+
+
 def _pin_problems(rng, cfg, order, xprec):
     """(problem, solution) pairs in the shapes of the benchmark's implicit,
     pole-ODE and Riccati instances (test-local copies of those shapes)."""
@@ -470,9 +504,7 @@ def _pin_problems(rng, cfg, order, xprec):
     nonlinear = [CompSeries(cfg, {i: s(2, 0, 4) for i in (0, 1)}) for _ in (2, 3)]
     imp = ImplicitProblem((p0, p1, *nonlinear))
     yield imp, solve_implicit(imp, order, xprec=xprec)[0]
-    pole = PerfSeries(cfg, [(Fraction(-rng.randint(1, 3)), random_elem(rng, cfg, nonzero=True)), (Fraction(rng.randint(0, 3)), random_elem(rng, cfg, nonzero=True))])
-    a = {(0, 0): pole, (1, 0): x_pow(-rng.randint(1, 3)), (1, 1): s(1, 0, 3), (0, 2): s(2, 0, 3), (1, 3): s(1, 0, 3)}
-    ode = OdeProblem(cfg, a)
+    ode = _pole_ode(rng, cfg)
     norm, gamma = normalize_time_change(ode)
     yield ode, untransform_ode_solution(solve_ode(norm, order, xprec=xprec)[0], gamma)
     floor = Fraction(1, cfg.q**2)
